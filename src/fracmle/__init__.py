@@ -48,10 +48,8 @@ from .malliavin import (
     PathBundle,
     derivative_first,
     derivative_second,
-    grad_eta,
     grad_h_weight,
     h_weight,
-    inverse_matrix_path,
     malliavin_matrix,
     skorohod_U,
     theta_gradient,

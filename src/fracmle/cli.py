@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FracmleError, NumericError, UnreliableScoreError
-from .estimator import EstimationReport, StepSchedule, estimate_parameters, validate_schedule
+from .estimator import EstimationReport, StepSchedule, estimate_parameters
 from .fbm import HurstParam, TimeGrid, estimate_hurst_rs, simulate_fbm
 from .likelihood import Budget, Observations, allocate_budget
 from .models import ModelSpec, get_model, load_model_file
@@ -121,6 +121,16 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        for name in ("hurst", "horizon", "gamma", "budget_scale"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in ("euler_steps", "observations", "iterations", "replications"):
+            if not _is_int(getattr(self, name), 1):
+                raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
+        if self.mc_paths != "auto" and not _is_int(self.mc_paths, 1):
+            raise ConfigError(f"mc_paths must be a positive integer or 'auto', got {self.mc_paths!r}")
+        if not _is_int(self.seed, 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         HurstParam(self.hurst)
         if not 0.5 < self.gamma < self.hurst:
             raise ConfigError(
@@ -131,9 +141,10 @@ class RunConfig:
                 f"euler_steps={self.euler_steps} must be divisible by "
                 f"observations={self.observations} so observation times sit on grid nodes"
             )
-        problems = validate_schedule(StepScheduleView(**self.schedule))
-        if problems:
-            raise ConfigError("; ".join(problems))
+        try:
+            self.step_schedule()
+        except TypeError as exc:  # unknown key or non-numeric value
+            raise ConfigError(f"schedule {self.schedule!r}: {exc}") from None
         if self.observations_csv is not None and not os.path.exists(self.observations_csv):
             raise ConfigError(f"observations file not found: {self.observations_csv}")
         if self.model_spec_path is not None and not os.path.exists(self.model_spec_path):
@@ -159,11 +170,12 @@ class RunConfig:
         return StepSchedule(**self.schedule)
 
 
-@dataclass
-class StepScheduleView:
-    a0: float = 0.1
-    b: float = 10.0
-    rho: float = 1.0
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 # --------------------------------------------------------------------------

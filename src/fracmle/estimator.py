@@ -94,19 +94,17 @@ def robbins_monro(
     iterations: int,
     box,
     seed: int = 0,
-    fresh_streams: bool = True,
 ) -> EstimationReport:
     """Projected stochastic approximation.
 
-    score_fn(theta, seed) must return (g, se) vectors. With fresh_streams
-    (default) iteration k receives the derived seed `seed + 101 k`, so the
-    Monte-Carlo noise is independent across iterations and averages out, which
-    is what stochastic approximation relies on; freezing one stream across all
-    iterations (fresh_streams=False) turns that noise into a deterministic
-    distortion of the score and can create spurious fixed points. Either way
-    the whole trace is a deterministic function of (seed, config). A failed
-    evaluation is retried once with a perturbed seed; a second failure aborts
-    with a partial report.
+    score_fn(theta, seed) must return (g, se) vectors. Iteration k receives
+    the derived seed `seed + 101 k`, so the Monte-Carlo noise is independent
+    across iterations and averages out, which is what stochastic
+    approximation relies on; freezing one stream across all iterations would
+    turn that noise into a deterministic distortion of the score and can
+    create spurious fixed points. The whole trace is a deterministic function
+    of (seed, config). A failed evaluation is retried once with a perturbed
+    seed; a second failure aborts with a partial report.
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float))
     box = np.atleast_2d(np.asarray(box, dtype=float))
@@ -121,7 +119,7 @@ def robbins_monro(
     gs, ses = [], []
     aborted, reason, abort_error = False, "", None
     for k in range(iterations):
-        attempt_seed = seed + 101 * k if fresh_streams else seed
+        attempt_seed = seed + 101 * k
         g = se = None
         for attempt in range(2):
             try:

@@ -76,10 +76,10 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def node_index(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the grid node equal to t; t must sit on the grid."""
+    def node_index(self, t: float) -> int:
+        """Index of the grid node equal to t (to 1e-9 of max(1, T))."""
         k = round(t / self.dt)
-        if not 0 <= k <= self.steps or abs(k * self.dt - t) > tol * max(1.0, self.horizon):
+        if not 0 <= k <= self.steps or abs(k * self.dt - t) > 1e-9 * max(1.0, self.horizon):
             raise ConfigError(f"time {t} is not a node of {self}")
         return int(k)
 
@@ -100,12 +100,6 @@ class FbmPath:
     @property
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=1)
-
-    def to_csv(self, path: str) -> None:
-        """Debug dump with columns t, B1..Bd."""
-        header = "t," + ",".join(f"B{j + 1}" for j in range(self.dim))
-        data = np.column_stack([self.grid.nodes, self.values.T])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
 def fbm_covariance(s: float, t: float, h: HurstParam | float) -> float:
@@ -248,9 +242,7 @@ def rs_window_sizes(n: int, min_window: int = 32) -> list[int]:
     return sizes
 
 
-def estimate_hurst_rs(
-    series: np.ndarray, min_window: int = 32, windows: list[int] | None = None
-) -> float:
+def estimate_hurst_rs(series: np.ndarray, min_window: int = 32) -> float:
     """Hurst estimate: slope of log mean(R/S) against log window size.
 
     Blocks are non-overlapping; degenerate blocks (zero standard deviation)
@@ -263,9 +255,8 @@ def estimate_hurst_rs(
         raise ConfigError(f"series length must be >= 32, got {x.size}")
     if np.ptp(x) == 0.0:
         raise DegenerateSeriesError("constant series has zero range")
-    sizes = windows if windows is not None else rs_window_sizes(x.size, min_window)
     log_w, log_rs = [], []
-    for w in sizes:
+    for w in rs_window_sizes(x.size, min_window):
         nblocks = x.size // w
         blocks = x[: nblocks * w].reshape(nblocks, w)
         vals = np.array([_rs_statistic(b) for b in blocks])

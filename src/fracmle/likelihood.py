@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _BLOCK = 8192  # fixed block size; part of the reproducibility contract
+_N_MAX = 10**6  # cap on the path count the budget rule may request
 
 
 @dataclass
@@ -105,23 +106,22 @@ def allocate_budget(
     m: int,
     d: int,
     scale: float = 1.0,
-    n_max: int = 10**6,
 ) -> int:
     """Monte-Carlo path count N = ceil(scale * M^(gt/(2 gamma - 1) - 3)).
 
     gt = T m (d+1). The asymptotic rule can demand infeasible N, so the result
-    is capped at n_max with a warning.
+    is capped at _N_MAX = 10^6 with a warning.
     """
     if gamma <= 0.5:
         raise ConfigError(f"gamma must exceed 1/2, got {gamma}")
     exponent = gamma_tilde(horizon, m, d) / (2.0 * gamma - 1.0) - 3.0
     n = int(np.ceil(scale * float(euler_steps) ** exponent))
     n = max(n, 1)
-    if n > n_max:
+    if n > _N_MAX:
         warnings.warn(
-            f"budget rule requests N={n:.3e} paths; capping at {n_max}", stacklevel=2
+            f"budget rule requests N={n:.3e} paths; capping at {_N_MAX}", stacklevel=2
         )
-        n = int(n_max)
+        n = _N_MAX
     return n
 
 
@@ -165,8 +165,33 @@ def _phi_bar(z: np.ndarray) -> np.ndarray:
     return np.maximum(out, 1e-300)
 
 
+def _tail_sides(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, float]:
+    """Side signs of the tail representation at x: (per coordinate, joint).
+
+    The driving Gaussians are exactly centered and a depth-k weight has parity
+    (-1)^k under their reflection about the deterministic mean, so every
+    orthant term below may sit on either side of x (s = +1 upper, s = -1
+    lower). Coordinate c takes the side of x_c relative to the mean; the joint
+    side is the orthant with the smaller Gaussian mass, where fewer paths land
+    and the indicator variance is smallest.
+    """
+    z = (x - mean) / np.sqrt(var)
+    lower = np.sum(np.log(_phi_bar(-z))) < np.sum(np.log(_phi_bar(z)))
+    return np.where(z < 0.0, -1.0, 1.0), (-1.0 if lower else 1.0)
+
+
 def _indicator(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.prod(y > x, axis=-1).astype(float)
+
+
+def _indicator_term(y: np.ndarray, x: np.ndarray, h_m: np.ndarray, s: float) -> np.ndarray:
+    """Density term s^m 1(sY > sx) H_(1..m) on side s."""
+    return s ** y.shape[-1] * _indicator(s * y, s * x) * h_m
+
+
+def _w_factors(y: np.ndarray, x: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per-coordinate depth-1 W factors s_c 1(s_c Y_c > s_c x_c) G_c on sides s."""
+    return s * (s * y > s * x) * g
 
 
 def _positive_part(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -186,6 +211,19 @@ def _positive_part_grad_factor(y: np.ndarray, x: np.ndarray, grad_y: np.ndarray)
     return out
 
 
+def _v_term(
+    y: np.ndarray, x: np.ndarray, dy: np.ndarray, h_2m: np.ndarray, dh_2m: np.ndarray, s: float
+) -> np.ndarray:
+    """V term on side s: the exact theta-derivative of prod(s(Y - x))_+ H_(1..m,1..m).
+
+    y (N, m), dy (N, q, m), h_2m (N,), dh_2m (N, q); returns (N, q).
+    """
+    return (
+        s * _positive_part_grad_factor(s * y, s * x, dy) * h_2m[:, None]
+        + _positive_part(s * y, s * x)[:, None] * dh_2m
+    )
+
+
 def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
     mean = total / n
     if n < 2:
@@ -203,41 +241,6 @@ def _deterministic_mean(model: ModelSpec, theta: np.ndarray, grid: TimeGrid, a: 
         state = state + np.asarray(model.mu(state, theta), float) * grid.dt
         out[k + 1] = state
     return out
-
-
-def _density_terms_additive(
-    model: ModelSpec,
-    theta: np.ndarray,
-    kernels: AdditiveKernels,
-    incr: np.ndarray,
-    paths: np.ndarray,
-    t_node: int,
-    x: np.ndarray,
-    representation: str,
-    a: np.ndarray,
-) -> np.ndarray:
-    y_t = paths[:, t_node, :]
-    idx_m = tuple(range(1, model.m + 1))
-    if representation == "auto":
-        # exact rearrangement: E[H] = 0 with parity (-1)^m under the
-        # reflection of the driving Gaussians, so the indicator may sit on
-        # either side; pick the tail side of x, where the variance is small
-        mean = _deterministic_mean(model, theta, kernels.grid, a)[t_node]
-        sd = np.sqrt(np.diag(kernels.at(t_node)["gamma"]))
-        z = (x - mean) / sd
-        lower = np.sum(np.log(_phi_bar(-z))) < np.sum(np.log(_phi_bar(z)))
-        h_val = kernels.weight_values(idx_m, incr, t_node)
-        if lower:
-            return (-1.0) ** model.m * _indicator(x, y_t) * h_val
-        return _indicator(y_t, x) * h_val
-    if representation == "indicator":
-        h_val = kernels.weight_values(idx_m, incr, t_node)
-        return _indicator(y_t, x) * h_val
-    if representation == "positive-part":
-        idx = idx_m * 2
-        h_val = kernels.weight_values(idx, incr, t_node)
-        return _positive_part(y_t, x) * h_val
-    raise ConfigError(f"unknown representation {representation!r}")
 
 
 def estimate_density(
@@ -268,12 +271,20 @@ def estimate_density(
     total = total_sq = 0.0
     if model.linear_additive:
         kernels = AdditiveKernels(model, theta, grid, hp, [t_node], with_grad=False)
+        idx_m = tuple(range(1, model.m + 1))
+        s = 1.0  # the defining upper side
+        if representation == "auto":
+            mean = _deterministic_mean(model, theta, grid, a)[t_node]
+            _, s = _tail_sides(x, mean, np.diag(kernels.at(t_node)["gamma"]))
+        elif representation not in ("indicator", "positive-part"):
+            raise ConfigError(f"unknown representation {representation!r}")
         for _, nb, rng in _block_seeds(seed, stream_key, budget.mc_paths):
             incr = _draw_increments(rng, nb, model.d, grid, hp)
-            paths = euler_solve_batch(model, theta, incr, a, grid.dt)
-            vals = _density_terms_additive(
-                model, theta, kernels, incr, paths, t_node, x, representation, a
-            )
+            y_t = euler_solve_batch(model, theta, incr, a, grid.dt)[:, t_node, :]
+            if representation == "positive-part":
+                vals = _positive_part(y_t, x) * kernels.weight_values(idx_m * 2, incr, t_node)
+            else:
+                vals = _indicator_term(y_t, x, kernels.weight_values(idx_m, incr, t_node), s)
             total += float(vals.sum())
             total_sq += float((vals**2).sum())
     else:
@@ -341,18 +352,18 @@ def estimate_V(
     x = obs.values[i]
     idx2m = tuple(range(1, model.m + 1)) * 2
     kernels = AdditiveKernels(model, theta, sub, hp, [t_node], with_grad=True)
+    poly, _ = kernels.levels(idx2m, t_node)[-1]
     total = total_sq = 0.0
     for _, nb, rng in _block_seeds(seed, (i,), budget.mc_paths):
         incr = _draw_increments(rng, nb, model.d, sub, hp)
         paths = euler_solve_batch(model, theta, incr, a, sub.dt)
         grads = theta_gradient_batch(model, theta, incr, paths, sub.dt)
-        y_t = paths[:, t_node, :]
-        g_t = grads[:, t_node, :, :]  # (nb, q, m)
-        h2 = kernels.weight_values(idx2m, incr, t_node)
-        dh2 = kernels.grad_weight_values(idx2m, incr, t_node)  # (nb, q)
-        term1 = _positive_part_grad_factor(y_t, x, g_t) * h2[:, None]
-        term2 = _positive_part(y_t, x)[:, None] * dh2
-        vals = (term1 + term2)[:, l]
+        g = kernels.gaussians(incr, t_node)
+        dg = kernels.grad_gaussians(incr, t_node)
+        vals = _v_term(
+            paths[:, t_node, :], x, grads[:, t_node, :, :], poly(g),
+            kernels.grad_weight(idx2m, g, dg, t_node), 1.0,
+        )[:, l]
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
     return _mean_se(total, total_sq, budget.mc_paths)
@@ -384,9 +395,9 @@ def score(
     magnitude is capped, so one tail observation cannot blow up the sum.
     Clamping is what iterative estimation uses; dropping flagged terms
     instead would remove exactly the observations that disagree with the
-    current parameter and make every parameter self-consistent. The error is
-    still raised in clamp mode when fewer than half the observations survive
-    unclamped.
+    current parameter and make every parameter self-consistent. Clamp mode
+    still raises, naming the first flagged observation, when fewer than
+    max(1, n // 10) of the n observations survive unclamped.
     """
     theta = model.check_theta(theta)
     if not model.linear_additive:
@@ -400,8 +411,7 @@ def score(
         )
     n, q, n_paths = obs.n, model.q, budget.mc_paths
     nodes = [int(k) for k in obs.node_indices]
-    idx_m = tuple(range(1, model.m + 1))
-    idx_2m = idx_m * 2
+    idx_2m = tuple(range(1, model.m + 1)) * 2
     kernels = AdditiveKernels(model, theta, grid, hp, nodes, with_grad=True)
     # Two exact variance reductions, both inside the exact-indicator class:
     #
@@ -412,61 +422,39 @@ def score(
     #   f_Z(R^T y), and its orthant masses factor into marginal tails, which
     #   matters when the state coordinates are strongly correlated.
     #
-    # * tail-side selection: the driving Gaussians are exactly centered and
-    #   the weights have parity (-1)^depth under G -> -G, so reflecting about
-    #   the deterministic mean gives a second exact representation:
-    #   (-1)^m E[prod 1_(Z<=z) H_m] = E[prod 1_(Z>z) H_m] and
-    #   E[prod (z-Z)_+ H_2m] = E[prod (Z-z)_+ H_2m]. Each observation uses
-    #   the orthant with the smaller mass, where the indicator variance is
-    #   far smaller for tail observations.
+    # * tail-side selection (_tail_sides): reflecting about the deterministic
+    #   mean gives the exact lower-side representations
+    #   (-1)^m E[prod 1_(Z<=z) H_m] and E[prod (z-Z)_+ H_2m]; each observation
+    #   uses the side with the smaller mass, far less noisy in the tails.
     mean_path = _deterministic_mean(model, theta, grid, a)
     w_fac = np.empty((n_paths, n, model.m))  # per-coordinate depth-1 factors
     v_all = np.empty((n_paths, n, q))
-    rot, x_z, coord_lower, use_lower = [], [], [], []
+    rot, x_z, sides = [], [], []
     for i, t_node in enumerate(nodes):
         r, entry = kernels.rotated_at(t_node)
         rot.append(r)
         x_z.append(obs.values[i] @ r)
-        z = (x_z[i] - mean_path[t_node] @ r) / np.sqrt(np.diag(entry["gamma"]))
-        # indicator on the side with the smaller mass: fewer paths, less noise
-        coord_lower.append(z < 0.0)
-        use_lower.append(np.sum(np.log(_phi_bar(-z))) < np.sum(np.log(_phi_bar(z))))
+        sides.append(_tail_sides(x_z[i], mean_path[t_node] @ r, np.diag(entry["gamma"])))
     done = 0
     for _, nb, rng in _block_seeds(seed, (), n_paths):
         incr = _draw_increments(rng, nb, model.d, grid, hp)
         paths = euler_solve_batch(model, theta, incr, a, grid.dt)
         grads = theta_gradient_batch(model, theta, incr, paths, grid.dt)
         for i, t_node in enumerate(nodes):
-            x = x_z[i]
             y_t = paths[:, t_node, :] @ rot[i]
-            g_t = grads[:, t_node, :, :] @ rot[i]
-            g_gauss = kernels.gaussians(incr, t_node, rotated=True)  # = (Z - mean)/var
+            g = kernels.gaussians(incr, t_node, rotated=True)  # = (Z - mean)/var
+            dg = kernels.grad_gaussians(incr, t_node, rotated=True)
             # W factors: in the decorrelated frame the coordinates are
             # independent at the evaluation theta and the depth-m weight is
             # the product of the per-coordinate depth-1 weights, so
             # E[prod 1_(Z_c>x_c) G_c] = prod_c E[1_(Z_c>x_c) G_c]; averaging
             # each factor separately removes the product-noise inflation.
-            for c in range(model.m):
-                if coord_lower[i][c]:
-                    w_fac[done : done + nb, i, c] = (
-                        -(y_t[:, c] < x[c]).astype(float) * g_gauss[:, c]
-                    )
-                else:
-                    w_fac[done : done + nb, i, c] = (
-                        (y_t[:, c] > x[c]).astype(float) * g_gauss[:, c]
-                    )
-            h_2m = kernels.weight_values(idx_2m, incr, t_node, rotated=True)
-            dh_2m = kernels.grad_weight_values(idx_2m, incr, t_node, rotated=True)
-            if use_lower[i]:
-                v_all[done : done + nb, i] = (
-                    -_positive_part_grad_factor(-y_t, -x, g_t) * h_2m[:, None]
-                    + _positive_part(-y_t, -x)[:, None] * dh_2m
-                )
-            else:
-                v_all[done : done + nb, i] = (
-                    _positive_part_grad_factor(y_t, x, g_t) * h_2m[:, None]
-                    + _positive_part(y_t, x)[:, None] * dh_2m
-                )
+            w_fac[done : done + nb, i] = _w_factors(y_t, x_z[i], g, sides[i][0])
+            poly, _ = kernels.levels(idx_2m, t_node, rotated=True)[-1]
+            dh_2m = kernels.grad_weight(idx_2m, g, dg, t_node, rotated=True)
+            v_all[done : done + nb, i] = _v_term(
+                y_t, x_z[i], grads[:, t_node, :, :] @ rot[i], poly(g), dh_2m, sides[i][1]
+            )
         done += nb
     fac_mean = w_fac.mean(axis=0)  # (n, m)
     w_mean = fac_mean.prod(axis=1)

@@ -39,19 +39,14 @@ from .pathwise import SolutionPath
 
 __all__ = [
     "TriangularArray",
-    "MalliavinMatrixPath",
     "WeightValue",
     "KernelLevel",
     "derivative_first",
     "derivative_second",
     "theta_gradient",
     "theta_gradient_batch",
-    "grad_derivative_first",
     "malliavin_matrix",
     "invert_gamma",
-    "eta_sde_diagnostic",
-    "inverse_matrix_path",
-    "grad_eta",
     "q_process",
     "skorohod_U",
     "h_weight",
@@ -76,16 +71,6 @@ class TriangularArray:
     grid: TimeGrid
     values: np.ndarray
     target: int | None = None
-
-
-@dataclass
-class MalliavinMatrixPath:
-    """gamma, its direct inverse eta, and the SDE-integrated diagnostic."""
-
-    nodes: np.ndarray  # grid node indices, shape (K,)
-    gamma: np.ndarray  # (K, m, m)
-    eta: np.ndarray  # (K, m, m)
-    eta_sde: np.ndarray | None = None  # (K, m, m) diagnostic, may drift
 
 
 @dataclass
@@ -239,53 +224,6 @@ def theta_gradient_batch(
     return out
 
 
-def grad_derivative_first(
-    model: ModelSpec,
-    theta: np.ndarray,
-    fbm: FbmPath,
-    y: SolutionPath,
-    d1: TriangularArray,
-    grad_y: np.ndarray,
-) -> np.ndarray:
-    """Theta-gradient of the first-derivative triangle for scalar models.
-
-    Returns (q, M+1, M+1) indexed [l, r, t]. The evolution is the linearized
-    equation with sources (grad of the coefficient Jacobians along the path)
-    times the first derivatives.
-    """
-    theta = model.check_theta(theta)
-    if model.m != 1 or model.d != 1:
-        raise CapabilityError("per-path grad-derivative arrays are scalar-only")
-    grid = fbm.grid
-    m1 = grid.steps + 1
-    db = fbm.increments[0]
-    dt = grid.dt
-    dd1 = d1.values[0, :, 0, :]
-    out = np.zeros((model.q, m1, m1))
-    cur = np.zeros((model.q, m1))
-    for k in range(grid.steps):
-        yk = y.values[:, k]
-        gy = grad_y[:, 0, k]  # (q,)
-        gsig = np.asarray(model.grad_sigma(yk, theta), float).reshape(model.q)
-        dsig = float(np.asarray(model.dsigma(yk, theta)).reshape(-1)[0])
-        cur[:, k] = gsig + dsig * gy
-        d1m = float(np.asarray(model.dmu(yk, theta)).reshape(-1)[0])
-        gdmu = np.asarray(model.grad_dmu(yk, theta), float).reshape(model.q)
-        d2m = float(np.asarray(model.d2mu(yk, theta)).reshape(-1)[0])
-        gdsig = np.asarray(model.grad_dsigma(yk, theta), float).reshape(model.q)
-        d2s = float(np.asarray(model.d2sigma(yk, theta)).reshape(-1)[0])
-        out[:, :, k] = cur
-        source = (gdmu + d2m * gy)[:, None] * dd1[None, :, k]
-        source_s = (gdsig + d2s * gy)[:, None] * dd1[None, :, k]
-        cur = cur + (d1m * cur + source) * dt + (dsig * cur + source_s) * db[k]
-    out[:, :, grid.steps] = cur
-    gyT = grad_y[:, 0, grid.steps]
-    gsigT = np.asarray(model.grad_sigma(y.values[:, -1], theta), float).reshape(model.q)
-    dsigT = float(np.asarray(model.dsigma(y.values[:, -1], theta)).reshape(-1)[0])
-    out[:, grid.steps, grid.steps] = gsigT + dsigT * gyT
-    return out
-
-
 # --------------------------------------------------------------------------
 # Malliavin matrix
 # --------------------------------------------------------------------------
@@ -320,105 +258,6 @@ def invert_gamma(gamma: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise NearSingularityError(node=int(nodes[a]), condition=float(cond))
         out[a] = np.linalg.inv(gamma[a])
-    return out
-
-
-def eta_sde_diagnostic(
-    model: ModelSpec,
-    theta: np.ndarray,
-    fbm: FbmPath,
-    y: SolutionPath,
-    h: HurstParam | float,
-    nodes: np.ndarray,
-) -> np.ndarray:
-    """Euler integration of the stated linear equation for the inverse matrix.
-
-    Anchored at the first grid node. Returned for diagnostics only: the
-    equation's leading term ignores the flow inside the kernel quadrature, so
-    away from zero drift it drifts from the true inverse (and its du-integral
-    of eta is divergent at 0), which is why the primary inverse is direct.
-    """
-    grid = fbm.grid
-    hp = HurstParam.coerce(h)
-    msteps = grid.steps
-    m = model.m
-    w = singular_cell_weights(grid, hp)
-    sig = np.empty((msteps, m, model.d))
-    for k in range(msteps):
-        sig[k] = _sigma_at(model, y.values[:, k], theta)
-    # alpha0(t_k) = sum_j int_0^tk int_0^tk sigma(Y_r) sigma(Y_r')^T kernel
-    cross = np.einsum("aij,ab,bkj->abik", sig, w, sig)
-    prefua = np.cumsum(np.cumsum(cross, axis=0), axis=1)
-    a0 = np.empty((msteps + 1, m, m))
-    a0[0] = 0.0
-    for k in range(1, msteps + 1):
-        a0[k] = prefua[k - 1, k - 1]
-    db = fbm.increments
-    dt = grid.dt
-    eta = np.zeros((msteps + 1, m, m))
-    eta[1] = np.linalg.inv(a0[1])
-    cur = eta[1].copy()
-    for k in range(1, msteps):
-        beta = np.broadcast_to(np.asarray(model.dmu(y.values[:, k], theta), float), (m, m))
-        incr = np.linalg.inv(a0[k + 1]) - np.linalg.inv(a0[k])
-        incr = incr - (cur @ beta + beta.T @ cur) * dt
-        if not model.additive_noise:
-            dsig = np.broadcast_to(
-                np.asarray(model.dsigma(y.values[:, k], theta), float), (m, model.d, m)
-            )
-            for l in range(model.d):
-                al = dsig[:, l, :]
-                incr = incr - (cur @ al + al.T @ cur) * db[l, k]
-        cur = cur + incr
-        eta[k + 1] = cur
-    return eta[np.asarray(nodes, dtype=int)]
-
-
-def inverse_matrix_path(
-    model: ModelSpec,
-    theta: np.ndarray,
-    fbm: FbmPath,
-    y: SolutionPath,
-    d1: TriangularArray,
-    h: HurstParam | float,
-    nodes: np.ndarray | list[int] | None = None,
-) -> MalliavinMatrixPath:
-    """gamma at the nodes, its direct inverse, and the SDE diagnostic."""
-    nodes = (
-        np.arange(1, fbm.grid.steps + 1)
-        if nodes is None
-        else np.atleast_1d(np.asarray(nodes, dtype=int))
-    )
-    gamma = malliavin_matrix(d1, h, nodes)
-    eta = invert_gamma(gamma, nodes)
-    eta_sde = eta_sde_diagnostic(model, theta, fbm, y, h, nodes)
-    return MalliavinMatrixPath(nodes=nodes, gamma=gamma, eta=eta, eta_sde=eta_sde)
-
-
-def grad_eta(
-    d1: TriangularArray,
-    grad_d1: np.ndarray,
-    eta: np.ndarray,
-    h: HurstParam | float,
-    nodes: np.ndarray,
-) -> np.ndarray:
-    """Theta-gradient of the inverse at the nodes via grad(eta) = -eta grad(gamma) eta.
-
-    Scalar layout: grad_d1 is (q, M+1, M+1); eta is (K, 1, 1) at the nodes.
-    """
-    if d1.values.shape[0] != 1 or d1.values.shape[2] != 1:
-        raise CapabilityError("per-path grad_eta is scalar-only; linear-additive models use kernels")
-    w = singular_cell_weights(d1.grid, h)
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-    q = grad_d1.shape[0]
-    out = np.zeros((q, nodes.size, 1, 1))
-    for a, t in enumerate(nodes):
-        ker = d1.values[0, :t, 0, t]
-        for l in range(q):
-            gker = grad_d1[l, :t, t]
-            dgamma = 2.0 * float(gker @ w[:t, :t] @ ker)
-            e = float(eta[a, 0, 0])
-            out[l, a, 0, 0] = -e * dgamma * e
     return out
 
 
@@ -584,13 +423,13 @@ class AdditiveKernels:
             raise NearSingularityError(node=t, condition=float(cond))
         eta = np.linalg.inv(gamma)
         qf = np.einsum("pj,aji->pai", eta, dc)  # (m, cells, d)
-        entry = {"gamma": gamma, "eta": eta, "qf": qf, "C": eta, "dc": dc}
+        entry = {"gamma": gamma, "eta": eta, "qf": qf}
         if ddc is not None:
             dgamma = np.einsum("laij,akj->lik", ddc, wb)
             dgamma = dgamma + np.swapaxes(dgamma, -1, -2)
             deta = -np.einsum("pi,lik,kq->lpq", eta, dgamma, eta)
             dqf = np.einsum("lpj,aji->lpai", deta, dc) + np.einsum("pj,laji->lpai", eta, ddc)
-            entry.update({"dgamma": dgamma, "deta": deta, "dqf": dqf, "dC": deta, "ddc": ddc})
+            entry.update({"dgamma": dgamma, "deta": deta, "dqf": dqf})
         return entry
 
     def rotation(self, t: int) -> np.ndarray:
@@ -620,12 +459,10 @@ class AdditiveKernels:
                 "eta": r.T @ base["eta"] @ r,
                 "qf": np.einsum("mp,mai->pai", r, base["qf"]),
             }
-            entry["C"] = entry["eta"]
             if self.with_grad:
                 entry["dgamma"] = np.einsum("mp,lmk,kq->lpq", r, base["dgamma"], r)
                 entry["deta"] = np.einsum("mp,lmk,kq->lpq", r, base["deta"], r)
                 entry["dqf"] = np.einsum("mp,lmai->lpai", r, base["dqf"])
-                entry["dC"] = entry["deta"]
             self._rotated[t] = (r, entry)
         return self._rotated[t]
 
@@ -644,9 +481,9 @@ class AdditiveKernels:
             if not all(1 <= j <= self.model.m for j in key[0]):
                 raise ConfigError(f"weight indices must lie in 1..{self.model.m}: {indices}")
             e = self._entry(t, rotated)
-            dc = e["dC"] if self.with_grad else None
+            deta = e["deta"] if self.with_grad else None
             zero_based = tuple(j - 1 for j in key[0])
-            self._poly_cache[key] = _wick_levels(zero_based, e["C"], dc)
+            self._poly_cache[key] = _wick_levels(zero_based, e["eta"], deta)
         return self._poly_cache[key]
 
     def gaussians(self, increments: np.ndarray, t: int, rotated: bool = False) -> np.ndarray:
@@ -657,30 +494,38 @@ class AdditiveKernels:
     def grad_gaussians(
         self, increments: np.ndarray, t: int, rotated: bool = False
     ) -> np.ndarray:
+        if not self.with_grad:
+            raise ConfigError("kernels built without gradients")
         dqf = self._entry(t, rotated)["dqf"]
         return np.einsum("lpai,nia->nlp", dqf, increments[:, :, :t])
 
-    def weight_values(
-        self, indices: tuple, increments: np.ndarray, t: int, rotated: bool = False
+    def grad_weight(
+        self, indices: tuple, g: np.ndarray, dg: np.ndarray, t: int, rotated: bool = False
     ) -> np.ndarray:
-        """H_(indices) per path, shape (N,)."""
-        g = self.gaussians(increments, t, rotated)
-        poly, _ = self.levels(indices, t, rotated)[-1]
-        return poly(g)
+        """Theta-gradient of H_(indices) from G (N, m) and dG (N, q, m): (N, q).
 
-    def grad_weight_values(
-        self, indices: tuple, increments: np.ndarray, t: int, rotated: bool = False
-    ) -> np.ndarray:
-        """Theta-gradient of H_(indices) per path, shape (N, q)."""
-        if not self.with_grad:
-            raise ConfigError("kernels built without gradients")
-        g = self.gaussians(increments, t, rotated)
-        dg = self.grad_gaussians(increments, t, rotated)
+        Chain rule: the explicit theta-dependence of the polynomial plus
+        sum_p dH/dG_p dG_p/dtheta.
+        """
         poly, dots = self.levels(indices, t, rotated)[-1]
         out = np.stack([dot(g) for dot in dots], axis=-1)  # (N, q)
         for p in range(self.model.m):
             out = out + poly.deriv(p)(g)[..., None] * dg[:, :, p]
         return out
+
+    def weight_values(
+        self, indices: tuple, increments: np.ndarray, t: int, rotated: bool = False
+    ) -> np.ndarray:
+        """H_(indices) per path, shape (N,)."""
+        poly, _ = self.levels(indices, t, rotated)[-1]
+        return poly(self.gaussians(increments, t, rotated))
+
+    def grad_weight_values(
+        self, indices: tuple, increments: np.ndarray, t: int, rotated: bool = False
+    ) -> np.ndarray:
+        """Theta-gradient of H_(indices) per path, shape (N, q)."""
+        g = self.gaussians(increments, t, rotated)
+        return self.grad_weight(indices, g, self.grad_gaussians(increments, t, rotated), t, rotated)
 
     def kernel_dfield(self, indices: tuple, g_one: np.ndarray, t: int) -> np.ndarray:
         """Realized D^i_s of the final kernel for one path, shape (cells, d)."""

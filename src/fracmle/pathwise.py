@@ -22,7 +22,6 @@ __all__ = [
     "euler_solve",
     "euler_solve_batch",
     "linear_solve",
-    "holder_quotient",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -35,19 +34,6 @@ def young_integral(g: np.ndarray, f: np.ndarray) -> float:
     if g.shape != f.shape or g.ndim != 1:
         raise ConfigError(f"integrand and integrator grids differ: {g.shape} vs {f.shape}")
     return float(g[:-1] @ np.diff(f))
-
-
-def holder_quotient(values: np.ndarray, grid: TimeGrid, gamma: float) -> float:
-    """sup over node pairs of |Z_q - Z_p| / |tau_q - tau_p|^gamma."""
-    v = np.atleast_2d(np.asarray(values, dtype=float))
-    nodes = grid.nodes
-    m = nodes.size
-    best = 0.0
-    for p in range(m - 1):
-        dz = np.linalg.norm(v[:, p + 1 :] - v[:, p : p + 1], axis=0)
-        dt = (nodes[p + 1 :] - nodes[p]) ** gamma
-        best = max(best, float(np.max(dz / dt)))
-    return best
 
 
 @dataclass
@@ -64,9 +50,6 @@ class SolutionPath:
     @property
     def terminal(self) -> np.ndarray:
         return self.values[:, -1]
-
-    def holder_diagnostic(self, gamma: float) -> float:
-        return holder_quotient(self.values, self.grid, gamma)
 
 
 @dataclass

@@ -127,6 +127,23 @@ class TestEstimate:
         path.write_text(json.dumps(small_config(typo_key=1)))
         assert main(["estimate", "--config", str(path), "--outdir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"mc_paths": "lots"},
+            {"hurst": "0.6"},
+            {"observations": 0},
+            {"replications": 0},
+            {"schedule": {"a0": 0.05, "c": 1.0}},
+            {"seed": -1},
+        ],
+        ids=["mc_paths", "hurst", "observations", "replications", "schedule_key", "seed"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, over):
+        cfg = write_config(tmp_path, **over)
+        assert main(["estimate", "--config", cfg, "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestHurst:
     def _series_csv(self, tmp_path, values, name="series.csv"):

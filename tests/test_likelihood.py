@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracmle.errors import CapabilityError, ConfigError, UnreliableScoreError
 from fracmle.fbm import TimeGrid, simulate_fbm
@@ -14,6 +16,7 @@ from fracmle.likelihood import (
     estimate_density,
     score,
 )
+from fracmle.likelihood import _v_term, _w_factors
 from fracmle.models import ModelSpec, get_model, ou_oracle
 from fracmle.pathwise import euler_solve
 
@@ -293,6 +296,65 @@ class TestScore:
         bud = Budget(64, 300, 0.55)
         with pytest.raises(UnreliableScoreError):
             score(model, [0.5], obs, bud, seed=3, h=0.6, on_unreliable="clamp")
+
+    def test_clamp_survives_with_one_in_ten_unflagged(self):
+        # clamp mode raises only below max(1, n // 10) unflagged observations
+        model = get_model("fou")
+        grid = TimeGrid(10.0, 100)
+        values = np.full((10, 1), 30.0)
+        values[0] = 0.1
+        obs = Observations(grid=grid, times=np.arange(1.0, 11.0), values=values)
+        bud = Budget(100, 300, 0.55)
+        sv = score(model, [0.5], obs, bud, seed=3, h=0.6, on_unreliable="clamp")
+        assert sv.flagged == tuple(range(1, 10))
+        assert sv.used.sum() == 1 and np.all(np.isfinite(sv.score))
+
+
+@st.composite
+def signed_case(draw):
+    """Linear paths y = y0 + theta dy, H = h0 + theta dh and per-coordinate
+    weights g, m <= 3 and q <= 2, with every coordinate of y0 at least 0.05
+    from x (away from the kinks)."""
+    m = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 2))
+
+    def vec(n, lo=-3.0, hi=3.0):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    x = vec(m)
+    gap = vec(m, 0.05, 3.0) * np.where(draw(st.lists(st.booleans(), min_size=m, max_size=m)), 1, -1)
+    return x + gap, x, vec(q * m).reshape(q, m), vec(1)[0], vec(q), vec(m)
+
+
+def _central(f, eps=1e-5):
+    return (f(eps) - f(-eps)) / (2 * eps)
+
+
+class TestSignedTerms:
+    """On side s = -1 the V term is the theta-derivative of prod(x - y)_+ H and
+    on s = +1 that of prod(y - x)_+ H; the W factor s_c 1(s_c y_c > s_c x_c) G_c
+    is the derivative of (s_c (y_c - x_c))_+ G_c along dy_c."""
+
+    @given(case=signed_case(), s=st.sampled_from([-1.0, 1.0]))
+    def test_v_term_is_theta_derivative(self, case, s):
+        y0, x, dy, h0, dh, _ = case
+        v = _v_term(y0[None], x, dy[None], np.array([h0]), dh[None], s)[0]
+        for l in range(dy.shape[0]):
+            def f(t):
+                return np.prod(np.maximum(s * (y0 + t * dy[l] - x), 0.0)) * (h0 + t * dh[l])
+
+            assert v[l] == pytest.approx(_central(f), rel=1e-6, abs=1e-6)
+
+    @given(case=signed_case(), sides=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3))
+    def test_w_factor_is_signed_derivative(self, case, sides):
+        y0, x, dy, _, _, g = case
+        s = np.array(sides[: x.size])
+        w = _w_factors(y0[None], x, g[None], s)[0]
+        for c in range(x.size):
+            def f(t):
+                return max(s[c] * (y0[c] + t * dy[0, c] - x[c]), 0.0) * g[c]
+
+            assert w[c] * dy[0, c] == pytest.approx(_central(f), rel=1e-6, abs=1e-6)
 
 
 class TestDiscretizationRates:

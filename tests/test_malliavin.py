@@ -1,4 +1,4 @@
-"""Derivative arrays, the matrix path, and the iterated weights."""
+"""Derivative arrays, the Malliavin matrix, and the iterated weights."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,8 @@ from fracmle.malliavin import (
     PathBundle,
     derivative_first,
     derivative_second,
-    eta_sde_diagnostic,
-    grad_derivative_first,
-    grad_eta,
     grad_h_weight,
     h_weight,
-    inverse_matrix_path,
     invert_gamma,
     malliavin_matrix,
     q_process,
@@ -216,75 +212,14 @@ class TestMatrixPath:
     def test_inverse_identity_and_eta(self, ou_setup):
         model, lam, h, grid, fbm, y, bundle, _ = ou_setup
         nodes = np.array([64, 128, 256])
-        path = inverse_matrix_path(model, [lam], fbm, y, bundle.d1, h, nodes)
-        for g, e in zip(path.gamma, path.eta):
+        gamma = malliavin_matrix(bundle.d1, h, nodes)
+        eta = invert_gamma(gamma, nodes)
+        for g, e in zip(gamma, eta):
             assert np.abs(g @ e - np.eye(1)).max() < 1e-6
 
     def test_singular_gamma_names_node(self):
         with pytest.raises(NearSingularityError, match="node 7"):
             invert_gamma(np.array([[[1.0, 1.0], [1.0, 1.0]]]), np.array([7]))
-
-    def test_eta_sde_exact_at_zero_drift(self):
-        # with zero drift the stated inverse equation is exact: eta = t^(-2H)
-        model = noise_model()
-        grid = TimeGrid(1.0, 128)
-        fbm = simulate_fbm(grid, 1, 0.7, seed=6)
-        y = euler_solve(model, [0.0], fbm, np.array([0.0]))
-        nodes = np.array([32, 64, 128])
-        diag = eta_sde_diagnostic(model, [0.0], fbm, y, 0.7, nodes)
-        want = grid.nodes[nodes] ** (-1.4)
-        assert np.allclose(diag[:, 0, 0], want, rtol=1e-10)
-
-    def test_eta_sde_drift_reported_for_nonzero_drift(self, ou_setup):
-        # the stated equation drops flow terms inside the kernel quadrature;
-        # away from zero drift the diagnostic visibly departs from the true
-        # inverse and is returned for inspection, not used
-        model, lam, h, grid, fbm, y, bundle, _ = ou_setup
-        nodes = np.array([256])
-        path = inverse_matrix_path(model, [lam], fbm, y, bundle.d1, h, nodes)
-        ratio = path.eta_sde[0, 0, 0] / path.eta[0, 0, 0]
-        assert np.isfinite(ratio)
-        assert ratio > 2.0
-        print(f"eta diagnostic / direct inverse at T: {ratio:.2f}")
-
-
-class TestGradEta:
-    def test_matches_finite_difference(self, ou_setup):
-        model, lam, h, grid, fbm, y, bundle, _ = ou_setup
-        nodes = np.array([128, 256])
-        g1 = grad_derivative_first(model, [lam], fbm, y, bundle.d1, bundle.grad_y)
-        _, eta = bundle.matrix_at(256)
-        etas = np.stack(
-            [invert_gamma(malliavin_matrix(bundle.d1, h, [t]), np.array([t]))[0] for t in nodes]
-        )
-        ge = grad_eta(bundle.d1, g1[0][None] if g1.ndim == 2 else g1, etas, h, nodes)
-        eps = 1e-4
-        for a, t in enumerate(nodes):
-            vals = {}
-            for s, l in ((+1, "up"), (-1, "dn")):
-                yy = euler_solve(model, [lam + s * eps], fbm, np.array([0.0]))
-                b = PathBundle(model, [lam + s * eps], fbm, yy, h)
-                vals[l] = b.matrix_at(int(t))[1][0, 0]
-            fd = (vals["up"] - vals["dn"]) / (2 * eps)
-            assert ge[0, a, 0, 0] == pytest.approx(fd, rel=1e-3)
-
-    def test_differentiated_inverse_identity(self, ou_setup):
-        # grad(gamma eta) = grad(gamma) eta + gamma grad(eta) vanishes, with
-        # grad(gamma) taken by finite differences
-        model, lam, h, grid, fbm, y, bundle, _ = ou_setup
-        t = 256
-        g1 = grad_derivative_first(model, [lam], fbm, y, bundle.d1, bundle.grad_y)
-        gamma, eta = bundle.matrix_at(t)
-        ge = grad_eta(bundle.d1, g1, eta[None], h, [t])[0, 0, 0, 0]
-        eps = 1e-4
-        gam = {}
-        for s in (+1, -1):
-            yy = euler_solve(model, [lam + s * eps], fbm, np.array([0.0]))
-            b = PathBundle(model, [lam + s * eps], fbm, yy, h)
-            gam[s] = b.matrix_at(t)[0][0, 0]
-        dgamma_fd = (gam[1] - gam[-1]) / (2 * eps)
-        resid = dgamma_fd * eta[0, 0] + gamma[0, 0] * ge
-        assert abs(resid) < 1e-3
 
 
 class TestWeights:
