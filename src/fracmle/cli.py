@@ -131,6 +131,18 @@ class RunConfig:
             raise ConfigError(f"mc_paths must be a positive integer or 'auto', got {self.mc_paths!r}")
         if not _is_int(self.seed, 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not _is_vector(self.theta_true):
+            raise ConfigError(f"theta_true must be a list of numbers, got {self.theta_true!r}")
+        if not (isinstance(self.theta0, str) or _is_vector(self.theta0)):
+            raise ConfigError(
+                f"theta0 must be a starting rule name or a list of numbers, got {self.theta0!r}"
+            )
+        if not (isinstance(self.box, list) and all(_is_vector(r) and len(r) == 2 for r in self.box)):
+            raise ConfigError(f"box must be a list of [low, high] number pairs, got {self.box!r}")
+        if self.initial_state is not None and not (_is_vector(self.initial_state) and self.initial_state):
+            raise ConfigError(
+                f"initial_state must be a nonempty list of numbers, got {self.initial_state!r}"
+            )
         HurstParam(self.hurst)
         if not 0.5 < self.gamma < self.hurst:
             raise ConfigError(
@@ -152,9 +164,19 @@ class RunConfig:
 
     def resolve_model(self) -> tuple[ModelSpec, np.ndarray]:
         if self.model_spec_path:
-            return load_model_file(self.model_spec_path)
-        spec = get_model(self.model, self.theta_true or None)
-        theta = spec.check_theta(self.theta_true or spec.theta_default)
+            spec, theta = load_model_file(self.model_spec_path)
+        else:
+            spec = get_model(self.model, self.theta_true or None)
+            theta = spec.check_theta(self.theta_true or spec.theta_default)
+        # a given box needs q rows, theta0 q values and initial_state m values
+        theta0 = [] if isinstance(self.theta0, str) else self.theta0
+        for name, value, size in (
+            ("box", self.box, spec.q),
+            ("theta0", theta0, spec.q),
+            ("initial_state", self.initial_state or [], spec.m),
+        ):
+            if value and len(value) != size:
+                raise ConfigError(f"{name} has {len(value)} entries, model {spec.name} needs {size}")
         return spec, theta
 
     def resolve_budget(self, model: ModelSpec) -> Budget:
@@ -176,6 +198,10 @@ def _is_number(value) -> bool:
 
 def _is_int(value, minimum: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
 # --------------------------------------------------------------------------

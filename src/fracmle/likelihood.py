@@ -115,14 +115,14 @@ def allocate_budget(
     if gamma <= 0.5:
         raise ConfigError(f"gamma must exceed 1/2, got {gamma}")
     exponent = gamma_tilde(horizon, m, d) / (2.0 * gamma - 1.0) - 3.0
-    n = int(np.ceil(scale * float(euler_steps) ** exponent))
-    n = max(n, 1)
-    if n > _N_MAX:
+    # compared in log space: the power itself overflows a float for long horizons
+    log10_n = np.log10(scale) + exponent * np.log10(euler_steps) if scale > 0 else -np.inf
+    if log10_n > np.log10(_N_MAX):
         warnings.warn(
-            f"budget rule requests N={n:.3e} paths; capping at {_N_MAX}", stacklevel=2
+            f"budget rule requests N=10^{log10_n:.1f} paths; capping at {_N_MAX}", stacklevel=2
         )
-        n = _N_MAX
-    return n
+        return _N_MAX
+    return max(int(np.ceil(scale * float(euler_steps) ** exponent)), 1)
 
 
 @dataclass
@@ -232,17 +232,6 @@ def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
     return mean, float(np.sqrt(var / n))
 
 
-def _deterministic_mean(model: ModelSpec, theta: np.ndarray, grid: TimeGrid, a: np.ndarray) -> np.ndarray:
-    """Noise-free Euler path (the mean trajectory for linear-additive models)."""
-    out = np.empty((grid.steps + 1, model.m))
-    state = np.array(a, dtype=float)
-    out[0] = state
-    for k in range(grid.steps):
-        state = state + np.asarray(model.mu(state, theta), float) * grid.dt
-        out[k + 1] = state
-    return out
-
-
 def estimate_density(
     model: ModelSpec,
     theta,
@@ -270,21 +259,24 @@ def estimate_density(
     t_node = grid.steps
     total = total_sq = 0.0
     if model.linear_additive:
+        if representation not in ("indicator", "positive-part", "auto"):
+            raise ConfigError(f"unknown representation {representation!r}")
         kernels = AdditiveKernels(model, theta, grid, hp, [t_node], with_grad=False)
+        mean, _ = kernels.mean(a, t_node)
         idx_m = tuple(range(1, model.m + 1))
         s = 1.0  # the defining upper side
         if representation == "auto":
-            mean = _deterministic_mean(model, theta, grid, a)[t_node]
             _, s = _tail_sides(x, mean, np.diag(kernels.at(t_node)["gamma"]))
-        elif representation not in ("indicator", "positive-part"):
-            raise ConfigError(f"unknown representation {representation!r}")
+        depth = 2 if representation == "positive-part" else 1
+        poly, _ = kernels.levels(idx_m * depth, t_node)[-1]
         for _, nb, rng in _block_seeds(seed, stream_key, budget.mc_paths):
             incr = _draw_increments(rng, nb, model.d, grid, hp)
             y_t = euler_solve_batch(model, theta, incr, a, grid.dt)[:, t_node, :]
+            h = poly(kernels.read_off(y_t - mean, t_node)[0])
             if representation == "positive-part":
-                vals = _positive_part(y_t, x) * kernels.weight_values(idx_m * 2, incr, t_node)
+                vals = _positive_part(y_t, x) * h
             else:
-                vals = _indicator_term(y_t, x, kernels.weight_values(idx_m, incr, t_node), s)
+                vals = _indicator_term(y_t, x, h, s)
             total += float(vals.sum())
             total_sq += float((vals**2).sum())
     else:
@@ -345,6 +337,8 @@ def estimate_V(
         raise CapabilityError("V estimation needs depth-2m weight gradients (linear-additive class)")
     if not 0 <= l < model.q:
         raise ConfigError(f"parameter index {l} outside 0..{model.q - 1}")
+    if not 0 <= i < obs.n:
+        raise ConfigError(f"observation index {i} outside 0..{obs.n - 1}")
     hp = HurstParam.coerce(h)
     a = np.asarray(model.initial_state if a is None else a, dtype=float)
     sub = TimeGrid(horizon=float(obs.times[i]), steps=int(obs.node_indices[i]))
@@ -352,18 +346,16 @@ def estimate_V(
     x = obs.values[i]
     idx2m = tuple(range(1, model.m + 1)) * 2
     kernels = AdditiveKernels(model, theta, sub, hp, [t_node], with_grad=True)
+    mean, dmean = kernels.mean(a, t_node)
     poly, _ = kernels.levels(idx2m, t_node)[-1]
     total = total_sq = 0.0
     for _, nb, rng in _block_seeds(seed, (i,), budget.mc_paths):
         incr = _draw_increments(rng, nb, model.d, sub, hp)
         paths = euler_solve_batch(model, theta, incr, a, sub.dt)
-        grads = theta_gradient_batch(model, theta, incr, paths, sub.dt)
-        g = kernels.gaussians(incr, t_node)
-        dg = kernels.grad_gaussians(incr, t_node)
-        vals = _v_term(
-            paths[:, t_node, :], x, grads[:, t_node, :, :], poly(g),
-            kernels.grad_weight(idx2m, g, dg, t_node), 1.0,
-        )[:, l]
+        y_t = paths[:, t_node, :]
+        dy_t = theta_gradient_batch(model, theta, incr, paths, sub.dt)[:, t_node, :, :]
+        g, dg = kernels.read_off(y_t - mean, t_node, dy_t - dmean)
+        vals = _v_term(y_t, x, dy_t, poly(g), kernels.grad_weight(idx2m, g, dg, t_node), 1.0)[:, l]
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
     return _mean_se(total, total_sq, budget.mc_paths)
@@ -426,15 +418,16 @@ def score(
     #   mean gives the exact lower-side representations
     #   (-1)^m E[prod 1_(Z<=z) H_m] and E[prod (z-Z)_+ H_2m]; each observation
     #   uses the side with the smaller mass, far less noisy in the tails.
-    mean_path = _deterministic_mean(model, theta, grid, a)
     w_fac = np.empty((n_paths, n, model.m))  # per-coordinate depth-1 factors
     v_all = np.empty((n_paths, n, q))
-    rot, x_z, sides = [], [], []
+    rot, x_z, sides, means = [], [], [], []
     for i, t_node in enumerate(nodes):
         r, entry = kernels.rotated_at(t_node)
+        mean, dmean = kernels.mean(a, t_node)
         rot.append(r)
         x_z.append(obs.values[i] @ r)
-        sides.append(_tail_sides(x_z[i], mean_path[t_node] @ r, np.diag(entry["gamma"])))
+        means.append((mean @ r, dmean @ r))
+        sides.append(_tail_sides(x_z[i], means[i][0], np.diag(entry["gamma"])))
     done = 0
     for _, nb, rng in _block_seeds(seed, (), n_paths):
         incr = _draw_increments(rng, nb, model.d, grid, hp)
@@ -442,8 +435,9 @@ def score(
         grads = theta_gradient_batch(model, theta, incr, paths, grid.dt)
         for i, t_node in enumerate(nodes):
             y_t = paths[:, t_node, :] @ rot[i]
-            g = kernels.gaussians(incr, t_node, rotated=True)  # = (Z - mean)/var
-            dg = kernels.grad_gaussians(incr, t_node, rotated=True)
+            dy_t = grads[:, t_node, :, :] @ rot[i]
+            # G = (Z - mean) / var in the decorrelated frame
+            g, dg = kernels.read_off(y_t - means[i][0], t_node, dy_t - means[i][1], rotated=True)
             # W factors: in the decorrelated frame the coordinates are
             # independent at the evaluation theta and the depth-m weight is
             # the product of the per-coordinate depth-1 weights, so
@@ -452,9 +446,7 @@ def score(
             w_fac[done : done + nb, i] = _w_factors(y_t, x_z[i], g, sides[i][0])
             poly, _ = kernels.levels(idx_2m, t_node, rotated=True)[-1]
             dh_2m = kernels.grad_weight(idx_2m, g, dg, t_node, rotated=True)
-            v_all[done : done + nb, i] = _v_term(
-                y_t, x_z[i], grads[:, t_node, :, :] @ rot[i], poly(g), dh_2m, sides[i][1]
-            )
+            v_all[done : done + nb, i] = _v_term(y_t, x_z[i], dy_t, poly(g), dh_2m, sides[i][1])
         done += nb
     fac_mean = w_fac.mean(axis=0)  # (n, m)
     w_mean = fac_mean.prod(axis=1)

@@ -15,7 +15,8 @@ Two model classes are supported exactly:
 * linear drift + additive noise (constant drift Jacobian A, constant sigma):
   D_s Y_t is the deterministic kernel P^(t-s) sigma with P = I + A dt, every
   higher Malliavin derivative vanishes, and the U-recursion closes over
-  polynomials in the m Gaussian integrals G_p = int q^p dB. The recursion then
+  polynomials in the m Gaussians G = eta_t int D_s Y_t dB_s, which equal
+  eta_t (Y_t - E[Y_t]) and are read off the Euler state. The recursion then
   *is* the Hermite (Wick) recursion P -> P*X_p - sum_j C[j,p] dP/dX_j with
   C = eta, and expectations of every weight vanish exactly on the grid because
   the quadrature weights equal the exact increment covariance.
@@ -352,13 +353,13 @@ def _wick_levels(indices: tuple, cmat: np.ndarray, dcmat: np.ndarray | None):
 
 
 class AdditiveKernels:
-    """Deterministic weight ingredients for a linear-additive model at target nodes.
+    """Gaussian law of the Euler state Y_t of a linear-additive model at target nodes.
 
-    All kernels are Euler-consistent: D over cell k at target node n is
-    P^(n-1-k) sigma with P = I + A dt, whose weighted Gram matrix equals the
-    exact covariance of the Euler terminal state. gamma, eta, the fields
-    q^p = eta D and their theta-gradients are computed once per (theta, node)
-    and shared across Monte-Carlo paths.
+    With P = I + A dt and b = mu(0; theta), Y_n = P^n a + sum_{u<n} P^u b dt
+    + sum_k D_nk dB_k with kernel D_nk = P^(n-1-k) sigma, whose weighted Gram
+    matrix gamma_n is the exact covariance of Y_n. Per node this holds gamma,
+    eta = gamma^-1 and, with gradients, dgamma and deta; the weights read
+    G = eta (Y - E[Y]) and its theta-gradient off the Euler state.
     """
 
     def __init__(
@@ -383,6 +384,7 @@ class AdditiveKernels:
         m, d, q = model.m, model.d, model.q
         y0 = np.zeros(m)
         a = np.broadcast_to(np.asarray(model.dmu(y0, self.theta), float), (m, m))
+        b = np.asarray(model.mu(y0, self.theta), float)
         sig = _sigma_at(model, y0, self.theta)
         dt = grid.dt
         p = np.eye(m) + a * dt
@@ -395,42 +397,58 @@ class AdditiveKernels:
             raise DivergenceError(
                 nmax, f"Euler factor I + A dt unstable for theta={self.theta} at dt={dt:g}"
             )
+        self._ppow = ppow
+        # [n] = sum_{u<n} P^u b dt, and below its theta-gradient
+        self._drift_sum = np.cumsum(np.concatenate([np.zeros((1, m)), ppow[:-1] @ b]), 0) * dt
         self._dcell_full = ppow @ sig  # (nmax+1, m, d); cell k of node n uses index n-1-k
         if with_grad:
             da = np.broadcast_to(np.asarray(model.grad_dmu(y0, self.theta), float), (q, m, m))
+            db = np.broadcast_to(np.asarray(model.grad_mu(y0, self.theta), float), (q, m))
             dsig = np.broadcast_to(np.asarray(model.grad_sigma(y0, self.theta), float), (q, m, d))
             dppow = np.zeros((q, nmax + 1, m, m))
             dp = da * dt
             for u in range(nmax):
                 dppow[:, u + 1] = dppow[:, u] @ p + ppow[u] @ dp
+            self._dppow = dppow
+            dterms = np.einsum("luij,j->uli", dppow, b) + np.einsum("uij,lj->uli", ppow, db)
+            self._ddrift_sum = np.cumsum(np.concatenate([np.zeros((1, q, m)), dterms[:-1]]), 0) * dt
             self._ddcell_full = dppow @ sig + ppow[None, ...] @ dsig[:, None, :, :]
         self._per_node: dict[int, dict] = {}
         self._rotated: dict[int, dict] = {}
         self._w = singular_cell_weights(grid, self.h)
         for t in self.nodes:
-            dc = self._dcell_full[t - 1 :: -1][:t]  # (t, m, d), cell k -> P^(t-1-k) sigma
-            ddc = self._ddcell_full[:, t - 1 :: -1][:, :t] if with_grad else None
-            self._per_node[t] = self._build_entry(t, dc, ddc)
+            self._per_node[t] = self._build_entry(t)
         self._poly_cache: dict = {}
 
-    def _build_entry(self, t: int, dc: np.ndarray, ddc: np.ndarray | None) -> dict:
+    def _cells(self, t: int) -> np.ndarray:
+        """Kernel columns D_tk = P^(t-1-k) sigma over cells k < t, shape (t, m, d)."""
+        return self._dcell_full[t - 1 :: -1][:t]
+
+    def _build_entry(self, t: int) -> dict:
         # one O(t^2) kernel product shared by gamma and its gradient
+        dc = self._cells(t)
         wb = (self._w[:t, :t] @ dc.reshape(t, -1)).reshape(dc.shape)
         gamma = np.einsum("aij,akj->ik", dc, wb)
         gamma = 0.5 * (gamma + gamma.T)
-        cond = np.linalg.cond(gamma)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise NearSingularityError(node=t, condition=float(cond))
-        eta = np.linalg.inv(gamma)
-        qf = np.einsum("pj,aji->pai", eta, dc)  # (m, cells, d)
-        entry = {"gamma": gamma, "eta": eta, "qf": qf}
-        if ddc is not None:
+        eta = invert_gamma(gamma[None], np.array([t]))[0]
+        entry = {"gamma": gamma, "eta": eta}
+        if self.with_grad:
+            ddc = self._ddcell_full[:, t - 1 :: -1][:, :t]
             dgamma = np.einsum("laij,akj->lik", ddc, wb)
             dgamma = dgamma + np.swapaxes(dgamma, -1, -2)
             deta = -np.einsum("pi,lik,kq->lpq", eta, dgamma, eta)
-            dqf = np.einsum("lpj,aji->lpai", deta, dc) + np.einsum("pj,laji->lpai", eta, ddc)
-            entry.update({"dgamma": dgamma, "deta": deta, "dqf": dqf})
+            entry.update({"dgamma": dgamma, "deta": deta})
         return entry
+
+    def mean(self, a, t: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(E[Y_t], dE[Y_t]/dtheta) from Y_0 = a, shapes (m,) and (q, m) (None without
+        gradients): the noise-free Euler path P^t a + sum_{u<t} P^u b dt."""
+        self.at(t)  # requested nodes only, as everywhere else
+        a = np.asarray(a, dtype=float)
+        mean = self._ppow[t] @ a + self._drift_sum[t]
+        if not self.with_grad:
+            return mean, None
+        return mean, self._dppow[:, t] @ a + self._ddrift_sum[t]
 
     def rotation(self, t: int) -> np.ndarray:
         """Orthonormal eigenvectors of gamma_t (deterministic column signs)."""
@@ -454,15 +472,9 @@ class AdditiveKernels:
         if t not in self._rotated:
             base = self.at(t)
             r = self.rotation(t)
-            entry = {
-                "gamma": r.T @ base["gamma"] @ r,
-                "eta": r.T @ base["eta"] @ r,
-                "qf": np.einsum("mp,mai->pai", r, base["qf"]),
-            }
+            entry = {"gamma": r.T @ base["gamma"] @ r, "eta": r.T @ base["eta"] @ r}
             if self.with_grad:
-                entry["dgamma"] = np.einsum("mp,lmk,kq->lpq", r, base["dgamma"], r)
                 entry["deta"] = np.einsum("mp,lmk,kq->lpq", r, base["deta"], r)
-                entry["dqf"] = np.einsum("mp,lmai->lpai", r, base["dqf"])
             self._rotated[t] = (r, entry)
         return self._rotated[t]
 
@@ -486,53 +498,46 @@ class AdditiveKernels:
             self._poly_cache[key] = _wick_levels(zero_based, e["eta"], deta)
         return self._poly_cache[key]
 
-    def gaussians(self, increments: np.ndarray, t: int, rotated: bool = False) -> np.ndarray:
-        """G_p = int q^p dB per path; increments (N, d, M>=t) -> (N, m)."""
-        qf = self._entry(t, rotated)["qf"]
-        return np.einsum("pai,nia->np", qf, increments[:, :, :t])
+    def read_off(
+        self, y_c: np.ndarray, t: int, dy_c: np.ndarray | None = None, rotated: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(G, dG/dtheta) = (eta_t y_c, deta_t y_c + eta_t dy_c) off the centered state.
 
-    def grad_gaussians(
-        self, increments: np.ndarray, t: int, rotated: bool = False
-    ) -> np.ndarray:
-        if not self.with_grad:
-            raise ConfigError("kernels built without gradients")
-        dqf = self._entry(t, rotated)["dqf"]
-        return np.einsum("lpai,nia->nlp", dqf, increments[:, :, :t])
+        y_c = Y_t - E[Y_t] (..., m) and dy_c = dY_t/dtheta - dE[Y_t]/dtheta
+        (..., q, m); G is (..., m), dG is (..., q, m), or None without dy_c.
+        """
+        e = self._entry(t, rotated)
+        g = y_c @ e["eta"].T
+        if dy_c is None:
+            return g, None
+        return g, np.einsum("lpj,...j->...lp", e["deta"], y_c) + dy_c @ e["eta"].T
 
     def grad_weight(
         self, indices: tuple, g: np.ndarray, dg: np.ndarray, t: int, rotated: bool = False
     ) -> np.ndarray:
-        """Theta-gradient of H_(indices) from G (N, m) and dG (N, q, m): (N, q).
+        """Theta-gradient of H_(indices) from G (..., m) and dG (..., q, m): (..., q).
 
         Chain rule: the explicit theta-dependence of the polynomial plus
         sum_p dH/dG_p dG_p/dtheta.
         """
         poly, dots = self.levels(indices, t, rotated)[-1]
-        out = np.stack([dot(g) for dot in dots], axis=-1)  # (N, q)
+        out = np.stack([dot(g) for dot in dots], axis=-1)  # (..., q)
         for p in range(self.model.m):
-            out = out + poly.deriv(p)(g)[..., None] * dg[:, :, p]
+            out = out + poly.deriv(p)(g)[..., None] * dg[..., p]
         return out
 
-    def weight_values(
-        self, indices: tuple, increments: np.ndarray, t: int, rotated: bool = False
-    ) -> np.ndarray:
-        """H_(indices) per path, shape (N,)."""
-        poly, _ = self.levels(indices, t, rotated)[-1]
-        return poly(self.gaussians(increments, t, rotated))
-
-    def grad_weight_values(
-        self, indices: tuple, increments: np.ndarray, t: int, rotated: bool = False
-    ) -> np.ndarray:
-        """Theta-gradient of H_(indices) per path, shape (N, q)."""
-        g = self.gaussians(increments, t, rotated)
-        return self.grad_weight(indices, g, self.grad_gaussians(increments, t, rotated), t, rotated)
+    def weight_values(self, indices: tuple, increments: np.ndarray, t: int) -> np.ndarray:
+        """H_(indices) per path (N,) from the increments (N, d, M>=t), projected
+        onto the kernel columns: G = eta sum_k D_tk dB_k, the read-off's reference."""
+        poly, _ = self.levels(indices, t)[-1]
+        noise = np.einsum("aji,nia->nj", self._cells(t), increments[:, :, :t])
+        return poly(np.einsum("pj,nj->np", self.at(t)["eta"], noise))
 
     def kernel_dfield(self, indices: tuple, g_one: np.ndarray, t: int) -> np.ndarray:
         """Realized D^i_s of the final kernel for one path, shape (cells, d)."""
-        e = self.at(t)
         poly, _ = self.levels(indices, t)[-1]
         coeffs = np.array([poly.deriv(p)(g_one) for p in range(self.model.m)])
-        return np.einsum("p,pai->ai", coeffs, e["qf"])
+        return np.einsum("j,aji->ai", coeffs @ self.at(t)["eta"], self._cells(t))
 
 
 # --------------------------------------------------------------------------
@@ -666,8 +671,9 @@ def skorohod_U(
 def h_weight(indices: tuple, bundle: PathBundle, t: int | None = None) -> WeightValue:
     """Iterated weight H_(j1..jn)(Y_t) for one path.
 
-    Linear-additive models run the closed polynomial recursion at any depth
-    up to 2m; scalar nonlinear models support depth 1.
+    Linear-additive models read G = eta_t (Y_t - E[Y_t]) off the bundle's
+    Euler path and run the closed polynomial recursion at any depth up to 2m;
+    scalar nonlinear models support depth 1.
     """
     model = bundle.model
     t = bundle.grid.steps if t is None else int(t)
@@ -678,8 +684,8 @@ def h_weight(indices: tuple, bundle: PathBundle, t: int | None = None) -> Weight
         raise CapabilityError(f"depth {len(indices)} exceeds 2m = {2 * model.m}")
     if model.linear_additive:
         kernels = bundle.additive_kernels([t])
-        incr = bundle.fbm.increments[None, ...]
-        g = kernels.gaussians(incr, t)[0]
+        y = bundle.y.values
+        g, _ = kernels.read_off(y[:, t] - kernels.mean(y[:, 0], t)[0], t)
         levels = kernels.levels(indices, t)
         out = WeightValue(indices=indices, value=float(levels[-1][0](g)))
         for r, (poly, _) in enumerate(levels):
@@ -709,6 +715,7 @@ def grad_h_weight(
     if not 0 <= l < model.q:
         raise ConfigError(f"parameter index {l} outside 0..{model.q - 1}")
     kernels = bundle.additive_kernels([t], with_grad=True)
-    incr = bundle.fbm.increments[None, ...]
-    grads = kernels.grad_weight_values(indices, incr, t)[0]
-    return WeightValue(indices=indices, value=float(grads[l]))
+    y = bundle.y.values
+    mean, dmean = kernels.mean(y[:, 0], t)
+    g, dg = kernels.read_off(y[:, t] - mean, t, bundle.grad_y[:, :, t] - dmean)
+    return WeightValue(indices=indices, value=float(kernels.grad_weight(indices, g, dg, t)[l]))

@@ -136,8 +136,14 @@ class TestEstimate:
             {"replications": 0},
             {"schedule": {"a0": 0.05, "c": 1.0}},
             {"seed": -1},
+            {"box": [[0.01]], "theta0": "moment"},
+            {"box": [["a", "b"]]},
+            {"theta0": ["a"]},
+            {"initial_state": [0.0, 1.0]},
+            {"initial_state": "zero"},
         ],
-        ids=["mc_paths", "hurst", "observations", "replications", "schedule_key", "seed"],
+        ids=["mc_paths", "hurst", "observations", "replications", "schedule_key", "seed",
+             "box_row", "box_type", "theta0_type", "initial_state_length", "initial_state_type"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, over):
         cfg = write_config(tmp_path, **over)

@@ -55,6 +55,9 @@ class TestBudget:
         with pytest.warns(UserWarning, match="capping"):
             n = allocate_budget(10, 0.6, horizon=1.5, m=1, d=1)
         assert n == 10**6
+        # exponent 197: the power overflows a float, the cap still applies
+        with pytest.warns(UserWarning, match="capping"):
+            assert allocate_budget(50, 0.55, horizon=10, m=1, d=1) == 10**6
 
     def test_gamma_guard(self):
         with pytest.raises(ConfigError):
@@ -196,6 +199,16 @@ class TestWAndV:
         bud = Budget(128, 2_000, 0.55)
         v, _ = estimate_V(self.model, [0.5], 0, obs, 0, bud, seed=2, h=self.h)
         assert v == 0.0
+
+    @pytest.mark.parametrize("kernel", ["W", "V"])
+    @pytest.mark.parametrize("i", [-1, 2], ids=["minus_one", "obs_n"])
+    def test_observation_index_outside_range(self, kernel, i):
+        bud = Budget(128, 10, 0.55)
+        with pytest.raises(ConfigError, match="observation index"):
+            if kernel == "W":
+                estimate_W(self.model, [0.5], self.obs, i, bud, seed=1, h=self.h)
+            else:
+                estimate_V(self.model, [0.5], 0, self.obs, i, bud, seed=1, h=self.h)
 
     def test_v_requires_linear_additive(self):
         from tests.test_malliavin import sin_model
@@ -386,9 +399,12 @@ class TestDiscretizationRates:
             kern = AdditiveKernels(model, [lam], grid, h, [m], with_grad=True)
             y_t = paths[:, m, 0]
             g_t = grads[:, m, 0, 0]
-            h1 = kern.weight_values((1,), incr, m)
-            h11 = kern.weight_values((1, 1), incr, m)
-            dh11 = kern.grad_weight_values((1, 1), incr, m)[:, 0]
+            mean, dmean = kern.mean(np.zeros(1), m)
+            y_c = paths[:, m] - mean
+            g, dg = kern.read_off(y_c, m, grads[:, m] - dmean)
+            h1 = kern.levels((1,), m)[-1][0](g)
+            h11 = kern.levels((1, 1), m)[-1][0](g)
+            dh11 = kern.grad_weight((1, 1), g, dg, m)[:, 0]
             w, s = [], 0.0
             for yv in ys:
                 wi = np.mean((y_t > yv) * h1)

@@ -1,0 +1,145 @@
+"""Exact identities of the linear-additive read-off, as hypothesis properties.
+
+For a linear drift and additive noise the Euler state is its mean plus a
+linear functional of the increments, so the Gaussians G = eta_t (Y_t - E[Y_t])
+and their theta-gradients can be read off the state. The properties pin the
+mean, G and dG against independent computations, without Monte Carlo.
+"""
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from fracmle.fbm import TimeGrid, fgn_from_normals
+from fracmle.malliavin import AdditiveKernels, theta_gradient_batch
+from fracmle.models import ModelSpec, get_model
+from fracmle.pathwise import euler_solve_batch
+
+
+def _zero(shape):
+    return lambda y, th: np.zeros(shape)
+
+
+def affine_model() -> ModelSpec:
+    """mu = -theta0 (y - theta1): a linear drift with intercept mu(0) = theta0 theta1."""
+    return ModelSpec(
+        name="affine", m=1, d=1, q=2,
+        mu=lambda y, th: -th[0] * (y - th[1]),
+        sigma=lambda y, th: np.ones((1, 1)),
+        dmu=lambda y, th: np.broadcast_to(-th[0], (1, 1)),
+        dsigma=_zero((1, 1, 1)), d2mu=_zero((1, 1, 1)), d2sigma=_zero((1, 1, 1, 1)),
+        grad_mu=lambda y, th: np.stack([th[1] - y, np.broadcast_to(th[0], np.shape(y))], axis=-2),
+        grad_sigma=_zero((2, 1, 1)),
+        grad_dmu=lambda y, th: np.array([[[-1.0]], [[0.0]]]),
+        grad_dsigma=_zero((2, 1, 1, 1)),
+        linear_drift=True, additive_noise=True,
+        initial_state=(0.0,), box_default=((0.1, 10.0), (-2.0, 2.0)),
+    )
+
+
+MODELS = [get_model("fou"), get_model("linear2d"), get_model("findrift"), affine_model()]
+
+
+@st.composite
+def cases(draw):
+    """(model, theta, grid, a, h, seed): theta from the model's box, horizon 1.
+
+    Draws whose Euler factor is unstable for a stable drift mode (an
+    eigenvalue mu of A with Re mu < 0 but |1 + mu dt| > 1) are skipped. The
+    saddle drift of linear2d grows in continuous time as well, so its
+    expanding factor is kept.
+    """
+    model = draw(st.sampled_from(MODELS))
+    theta = np.array([draw(st.floats(lo, hi)) for lo, hi in model.box_default])
+    grid = TimeGrid(1.0, draw(st.integers(2, 60)))
+    a_mat = np.broadcast_to(np.asarray(model.dmu(np.zeros(model.m), theta), float),
+                            (model.m, model.m))
+    mu = np.linalg.eigvals(a_mat)
+    assume(not np.any((mu.real < 0) & (np.abs(1 + mu * grid.dt) > 1)))
+    shift = np.array([draw(st.integers(-100, 100)) / 100 for _ in range(model.m)])
+    a = np.asarray(model.initial_state, float) + shift
+    h = draw(st.sampled_from([0.55, 0.6, 0.75, 0.9]))
+    return model, theta, grid, a, h, draw(st.integers(0, 2**32 - 1))
+
+
+def _increments(model, grid, h, seed, n=16):
+    z = np.random.default_rng(seed).standard_normal((n, model.d, 2 * grid.steps))
+    return fgn_from_normals(h, grid.steps, grid.dt, z)
+
+
+def _close(got, want, rel, scale=0.0):
+    """Max-norm relative agreement, relative to max(|want|, scale)."""
+    err = np.abs(np.asarray(got) - np.asarray(want)).max()
+    assert err <= rel * max(np.abs(want).max(), scale), (err, np.abs(want).max())
+
+
+@given(case=cases())
+def test_mean_is_noise_free_euler_path(case):
+    model, theta, grid, a, h, _ = case
+    nodes = range(1, grid.steps + 1)
+    kern = AdditiveKernels(model, theta, grid, h, nodes, with_grad=True)
+    zero = np.zeros((1, model.d, grid.steps))
+    path = euler_solve_batch(model, theta, zero, a, grid.dt)
+    grad = theta_gradient_batch(model, theta, zero, path, grid.dt)
+    for t in nodes:
+        mean, dmean = kern.mean(a, t)
+        # relative to the largest value the recursion passed through, which
+        # sets its rounding when a decaying mode cancels
+        _close(mean, path[0, t], 1e-12, scale=np.abs(path[0, : t + 1]).max())
+        _close(dmean, grad[0, t], 1e-12, scale=np.abs(grad[0, : t + 1]).max())
+
+
+@given(case=cases())
+def test_read_off_g_equals_projection(case):
+    model, theta, grid, a, h, seed = case
+    nodes = range(1, grid.steps + 1)
+    kern = AdditiveKernels(model, theta, grid, h, nodes)
+    incr = _increments(model, grid, h, seed)
+    paths = euler_solve_batch(model, theta, incr, a, grid.dt)
+    for t in nodes:
+        y_c = paths[:, t] - kern.mean(a, t)[0]
+        g, _ = kern.read_off(y_c, t)
+        proj = np.stack([kern.weight_values((p + 1,), incr, t) for p in range(model.m)], -1)
+        _close(g, proj, 1e-10)
+        r, _ = kern.rotated_at(t)
+        _close(kern.read_off(y_c @ r, t, rotated=True)[0], g @ r, 1e-10)
+
+
+@given(case=cases())
+def test_read_off_dg_equals_central_difference(case):
+    model, theta, grid, a, h, seed = case
+    nodes = sorted({max(1, grid.steps // 2), grid.steps})
+    kern = AdditiveKernels(model, theta, grid, h, nodes, with_grad=True)
+    incr = _increments(model, grid, h, seed)
+    paths = euler_solve_batch(model, theta, incr, a, grid.dt)
+    grads = theta_gradient_batch(model, theta, incr, paths, grid.dt)
+
+    def read_g(th, t):
+        k = AdditiveKernels(model, th, grid, h, [t])
+        y = euler_solve_batch(model, th, incr, a, grid.dt)[:, t]
+        return k.read_off(y - k.mean(a, t)[0], t)[0]
+
+    for t in nodes:
+        mean, dmean = kern.mean(a, t)
+        y_c, dy_c = paths[:, t] - mean, grads[:, t] - dmean
+        g, dg = kern.read_off(y_c, t, dy_c)
+        g_scale = np.abs(g).max()
+        # eta y_c cancels digits in proportion to the condition number of
+        # gamma (linear2d near the top of its box reaches 1e7, where the
+        # projection of the increments loses the same digits), so above 1e4
+        # the bound grows with it
+        rel = 1e-6 * max(1.0, np.linalg.cond(kern.at(t)["gamma"]) / 1e4)
+        # fourth-order central difference: the step stays large against the
+        # rounding of Y - E[Y] when the mean dwarfs the noise
+        eps = 1e-4
+        for l in range(model.q):
+            g_at = {}
+            for k in (-2, -1, 1, 2):
+                th = theta.copy()
+                th[l] += k * eps
+                g_at[k] = read_g(th, t)
+            fd = (8 * (g_at[1] - g_at[-1]) - (g_at[2] - g_at[-2])) / (12 * eps)
+            # G itself sets the scale where it does not depend on theta_l
+            _close(dg[:, l], fd, rel, scale=g_scale)
+        r, _ = kern.rotated_at(t)
+        _close(kern.read_off(y_c @ r, t, dy_c @ r, rotated=True)[1], dg @ r, 1e-10)
