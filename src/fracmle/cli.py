@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -121,9 +122,20 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        if not isinstance(self.model, str):
+            raise ConfigError(f"model must be a model name, got {self.model!r}")
+        for name in ("observations_csv", "model_spec_path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a file path, got {getattr(self, name)!r}")
+        if not isinstance(self.include_fbm_columns, bool):
+            raise ConfigError(
+                f"include_fbm_columns must be true or false, got {self.include_fbm_columns!r}"
+            )
         for name in ("hurst", "horizon", "gamma", "budget_scale"):
             if not _is_number(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if not self.budget_scale > 0:
+            raise ConfigError(f"budget_scale must be positive, got {self.budget_scale!r}")
         for name in ("euler_steps", "observations", "iterations", "replications"):
             if not _is_int(getattr(self, name), 1):
                 raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
@@ -137,8 +149,11 @@ class RunConfig:
             raise ConfigError(
                 f"theta0 must be a starting rule name or a list of numbers, got {self.theta0!r}"
             )
-        if not (isinstance(self.box, list) and all(_is_vector(r) and len(r) == 2 for r in self.box)):
-            raise ConfigError(f"box must be a list of [low, high] number pairs, got {self.box!r}")
+        if not (isinstance(self.box, list)
+                and all(_is_vector(r) and len(r) == 2 and r[0] < r[1] for r in self.box)):
+            raise ConfigError(
+                f"box must be a list of [low, high] number pairs with low < high, got {self.box!r}"
+            )
         if self.initial_state is not None and not (_is_vector(self.initial_state) and self.initial_state):
             raise ConfigError(
                 f"initial_state must be a nonempty list of numbers, got {self.initial_state!r}"
@@ -153,9 +168,13 @@ class RunConfig:
                 f"euler_steps={self.euler_steps} must be divisible by "
                 f"observations={self.observations} so observation times sit on grid nodes"
             )
+        if not (isinstance(self.schedule, dict) and all(map(_is_number, self.schedule.values()))):
+            raise ConfigError(
+                f"schedule must map a0, b, rho to finite numbers, got {self.schedule!r}"
+            )
         try:
             self.step_schedule()
-        except TypeError as exc:  # unknown key or non-numeric value
+        except TypeError as exc:  # unknown key
             raise ConfigError(f"schedule {self.schedule!r}: {exc}") from None
         if self.observations_csv is not None and not os.path.exists(self.observations_csv):
             raise ConfigError(f"observations file not found: {self.observations_csv}")
@@ -193,7 +212,12 @@ class RunConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _is_int(value, minimum: int) -> bool:
@@ -239,12 +263,17 @@ def _config_hash(doc: dict) -> str:
 
 
 def _sidecar(outdir: str, command: str, cfg_doc: dict, seed: int, outputs: list[str]):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     meta = {
         "command": command,
         "config": cfg_doc,
         "config_sha256": _config_hash(cfg_doc),
         "seed": seed,
         "version": __version__,
+        "numpy": np.__version__,
+        # the BLAS decides GEMM rounding, so bit-identical reruns assume the same one;
+        # its thread count needs threadpoolctl, which is not a dependency
+        "blas": {k: blas.get(k) for k in ("name", "version")},
         "outputs": [os.path.basename(p) for p in outputs],
     }
     _atomic_write(

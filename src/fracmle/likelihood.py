@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import CapabilityError, ConfigError, UnreliableScoreError
 from .fbm import HurstParam, TimeGrid, fgn_from_normals, FbmPath
-from .malliavin import AdditiveKernels, PathBundle, h_weight, theta_gradient_batch
+from .malliavin import (
+    AdditiveKernels, PathBundle, eigenframe_weight_2m, h_weight, theta_gradient_batch,
+)
 from .models import ModelSpec
 from .pathwise import euler_solve_batch, SolutionPath
 
@@ -114,9 +116,11 @@ def allocate_budget(
     """
     if gamma <= 0.5:
         raise ConfigError(f"gamma must exceed 1/2, got {gamma}")
+    if not (np.isfinite(scale) and scale > 0):
+        raise ConfigError(f"budget scale must be positive and finite, got {scale}")
     exponent = gamma_tilde(horizon, m, d) / (2.0 * gamma - 1.0) - 3.0
     # compared in log space: the power itself overflows a float for long horizons
-    log10_n = np.log10(scale) + exponent * np.log10(euler_steps) if scale > 0 else -np.inf
+    log10_n = np.log10(scale) + exponent * np.log10(euler_steps)
     if log10_n > np.log10(_N_MAX):
         warnings.warn(
             f"budget rule requests N=10^{log10_n:.1f} paths; capping at {_N_MAX}", stacklevel=2
@@ -268,7 +272,7 @@ def estimate_density(
         if representation == "auto":
             _, s = _tail_sides(x, mean, np.diag(kernels.at(t_node)["gamma"]))
         depth = 2 if representation == "positive-part" else 1
-        poly, _ = kernels.levels(idx_m * depth, t_node)[-1]
+        poly = kernels.levels(idx_m * depth, t_node)[-1]
         for _, nb, rng in _block_seeds(seed, stream_key, budget.mc_paths):
             incr = _draw_increments(rng, nb, model.d, grid, hp)
             y_t = euler_solve_batch(model, theta, incr, a, grid.dt)[:, t_node, :]
@@ -347,7 +351,7 @@ def estimate_V(
     idx2m = tuple(range(1, model.m + 1)) * 2
     kernels = AdditiveKernels(model, theta, sub, hp, [t_node], with_grad=True)
     mean, dmean = kernels.mean(a, t_node)
-    poly, _ = kernels.levels(idx2m, t_node)[-1]
+    poly = kernels.levels(idx2m, t_node)[-1]
     total = total_sq = 0.0
     for _, nb, rng in _block_seeds(seed, (i,), budget.mc_paths):
         incr = _draw_increments(rng, nb, model.d, sub, hp)
@@ -403,7 +407,6 @@ def score(
         )
     n, q, n_paths = obs.n, model.q, budget.mc_paths
     nodes = [int(k) for k in obs.node_indices]
-    idx_2m = tuple(range(1, model.m + 1)) * 2
     kernels = AdditiveKernels(model, theta, grid, hp, nodes, with_grad=True)
     # Two exact variance reductions, both inside the exact-indicator class:
     #
@@ -412,7 +415,8 @@ def score(
     #   the evaluation, so no eigenvector derivatives enter). Z is again a
     #   linear-additive functional of the driving noise with f_Y(y) =
     #   f_Z(R^T y), and its orthant masses factor into marginal tails, which
-    #   matters when the state coordinates are strongly correlated.
+    #   matters when the state coordinates are strongly correlated. Its
+    #   Gaussians are R^T G, with covariance diag(1/lam).
     #
     # * tail-side selection (_tail_sides): reflecting about the deterministic
     #   mean gives the exact lower-side representations
@@ -420,33 +424,31 @@ def score(
     #   uses the side with the smaller mass, far less noisy in the tails.
     w_fac = np.empty((n_paths, n, model.m))  # per-coordinate depth-1 factors
     v_all = np.empty((n_paths, n, q))
-    rot, x_z, sides, means = [], [], [], []
+    frames = []
     for i, t_node in enumerate(nodes):
-        r, entry = kernels.rotated_at(t_node)
+        e = kernels.at(t_node)
         mean, dmean = kernels.mean(a, t_node)
-        rot.append(r)
-        x_z.append(obs.values[i] @ r)
-        means.append((mean @ r, dmean @ r))
-        sides.append(_tail_sides(x_z[i], means[i][0], np.diag(entry["gamma"])))
+        x_z = obs.values[i] @ e["r"]
+        frames.append((e, mean, dmean, x_z, _tail_sides(x_z, mean @ e["r"], e["lam"])))
     done = 0
     for _, nb, rng in _block_seeds(seed, (), n_paths):
         incr = _draw_increments(rng, nb, model.d, grid, hp)
         paths = euler_solve_batch(model, theta, incr, a, grid.dt)
         grads = theta_gradient_batch(model, theta, incr, paths, grid.dt)
         for i, t_node in enumerate(nodes):
-            y_t = paths[:, t_node, :] @ rot[i]
-            dy_t = grads[:, t_node, :, :] @ rot[i]
-            # G = (Z - mean) / var in the decorrelated frame
-            g, dg = kernels.read_off(y_t - means[i][0], t_node, dy_t - means[i][1], rotated=True)
+            e, mean, dmean, x_z, (w_sides, v_side) = frames[i]
+            r = e["r"]
+            g, dg = kernels.read_off(paths[:, t_node] - mean, t_node, grads[:, t_node] - dmean)
+            g, dg = g @ r, dg @ r
+            y_t, dy_t = paths[:, t_node] @ r, grads[:, t_node] @ r
             # W factors: in the decorrelated frame the coordinates are
             # independent at the evaluation theta and the depth-m weight is
             # the product of the per-coordinate depth-1 weights, so
             # E[prod 1_(Z_c>x_c) G_c] = prod_c E[1_(Z_c>x_c) G_c]; averaging
             # each factor separately removes the product-noise inflation.
-            w_fac[done : done + nb, i] = _w_factors(y_t, x_z[i], g, sides[i][0])
-            poly, _ = kernels.levels(idx_2m, t_node, rotated=True)[-1]
-            dh_2m = kernels.grad_weight(idx_2m, g, dg, t_node, rotated=True)
-            v_all[done : done + nb, i] = _v_term(y_t, x_z[i], dy_t, poly(g), dh_2m, sides[i][1])
+            w_fac[done : done + nb, i] = _w_factors(y_t, x_z, g, w_sides)
+            h_2m, dh_2m = eigenframe_weight_2m(g, dg, e["lam"], e["deta_r"])
+            v_all[done : done + nb, i] = _v_term(y_t, x_z, dy_t, h_2m, dh_2m, v_side)
         done += nb
     fac_mean = w_fac.mean(axis=0)  # (n, m)
     w_mean = fac_mean.prod(axis=1)

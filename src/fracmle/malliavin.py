@@ -54,6 +54,7 @@ __all__ = [
     "grad_h_weight",
     "PathBundle",
     "AdditiveKernels",
+    "eigenframe_weight_2m",
 ]
 
 _COND_LIMIT = 1e12
@@ -280,10 +281,6 @@ class _Poly:
     def one(cls, m: int) -> "_Poly":
         return cls(m, {(0,) * m: 1.0})
 
-    @classmethod
-    def zero(cls, m: int) -> "_Poly":
-        return cls(m, {})
-
     def times_var(self, p: int) -> "_Poly":
         out = {}
         for e, c in self.terms.items():
@@ -323,33 +320,47 @@ class _Poly:
         return out
 
 
-def _wick_levels(indices: tuple, cmat: np.ndarray, dcmat: np.ndarray | None):
-    """U-recursion over polynomials: returns [(P_0, dP_0), (P_1, dP_1), ...].
-
-    P_{r+1} = P_r X_p - sum_j C[j,p] dP_r/dX_j, the theta-derivative carries
-    the dC terms along.
-    """
+def _wick_levels(indices: tuple, cmat: np.ndarray) -> list:
+    """U-recursion over polynomials: returns [P_0, P_1, ...], the Wick
+    polynomials P_{r+1} = P_r X_p - sum_j C[j,p] dP_r/dX_j with covariance C."""
     m = cmat.shape[0]
-    q = 0 if dcmat is None else dcmat.shape[0]
     poly = _Poly.one(m)
-    dots = [_Poly.zero(m) for _ in range(q)]
-    levels = [(poly, list(dots))]
+    levels = [poly]
     for p in indices:
         if not 0 <= p < m:
             raise ConfigError(f"weight index {p + 1} outside 1..{m}")
         new = poly.times_var(p)
         for j in range(m):
             new = new.axpy(-cmat[j, p], poly.deriv(j))
-        newdots = []
-        for l in range(q):
-            nd = dots[l].times_var(p)
-            for j in range(m):
-                nd = nd.axpy(-cmat[j, p], dots[l].deriv(j))
-                nd = nd.axpy(-dcmat[l, j, p], poly.deriv(j))
-            newdots.append(nd)
-        poly, dots = new, newdots
-        levels.append((poly, list(dots)))
+        poly = new
+        levels.append(poly)
     return levels
+
+
+def eigenframe_weight_2m(
+    g: np.ndarray, dg: np.ndarray, lam: np.ndarray, deta_r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """H_(1..m,1..m) and its theta-gradient in the eigenframe of gamma_t.
+
+    There eta = diag(1/lam), so with f_c = G_c^2 - 1/lam_c the weight is
+    prod_c f_c, and the heat equation dH/deta_jk = -1/2 d_j d_k H gives
+        dH = sum_c (2 G_c dG_c - deta_cc) prod_{c' != c} f_c'
+             - 2 sum_{j != k} deta_jk G_j G_k prod_{c not in {j, k}} f_c.
+    g (..., m), dg (..., q, m), lam (m,), deta_r (q, m, m); returns (...,), (..., q).
+    """
+    f = g**2 - 1.0 / lam
+    m = f.shape[-1]
+
+    def rest(*cs):
+        return np.prod(np.delete(f, cs, axis=-1), axis=-1)[..., None]
+
+    dh = np.zeros(dg.shape[:-1])
+    for c in range(m):
+        dh += (2.0 * g[..., c, None] * dg[..., c] - deta_r[:, c, c]) * rest(c)
+        for k in range(m):
+            if k != c:
+                dh -= 2.0 * deta_r[:, c, k] * (g[..., c] * g[..., k])[..., None] * rest(c, k)
+    return f.prod(axis=-1), dh
 
 
 class AdditiveKernels:
@@ -357,9 +368,12 @@ class AdditiveKernels:
 
     With P = I + A dt and b = mu(0; theta), Y_n = P^n a + sum_{u<n} P^u b dt
     + sum_k D_nk dB_k with kernel D_nk = P^(n-1-k) sigma, whose weighted Gram
-    matrix gamma_n is the exact covariance of Y_n. Per node this holds gamma,
-    eta = gamma^-1 and, with gradients, dgamma and deta; the weights read
-    G = eta (Y - E[Y]) and its theta-gradient off the Euler state.
+    matrix gamma_n is the exact covariance of Y_n. Per node one eigh gives
+    gamma = r diag(lam) r^T, which is the weights' own frame: there
+    eta = diag(1/lam) and, with gradients, deta_r = -(r^T dgamma r) / (lam_j lam_k).
+    at(t) holds r, lam, deta_r and the base-frame views gamma, eta = r diag(1/lam) r^T,
+    dgamma and deta = r deta_r r^T; the weights read G = eta (Y - E[Y]) and its
+    theta-gradient off the Euler state.
     """
 
     def __init__(
@@ -414,7 +428,6 @@ class AdditiveKernels:
             self._ddrift_sum = np.cumsum(np.concatenate([np.zeros((1, q, m)), dterms[:-1]]), 0) * dt
             self._ddcell_full = dppow @ sig + ppow[None, ...] @ dsig[:, None, :, :]
         self._per_node: dict[int, dict] = {}
-        self._rotated: dict[int, dict] = {}
         self._w = singular_cell_weights(grid, self.h)
         for t in self.nodes:
             self._per_node[t] = self._build_entry(t)
@@ -430,14 +443,19 @@ class AdditiveKernels:
         wb = (self._w[:t, :t] @ dc.reshape(t, -1)).reshape(dc.shape)
         gamma = np.einsum("aij,akj->ik", dc, wb)
         gamma = 0.5 * (gamma + gamma.T)
-        eta = invert_gamma(gamma[None], np.array([t]))[0]
-        entry = {"gamma": gamma, "eta": eta}
+        lam, r = np.linalg.eigh(gamma)
+        cond = lam[-1] / lam[0] if lam[0] > 0 else np.inf
+        if not cond <= _COND_LIMIT:
+            raise NearSingularityError(node=t, condition=cond)
+        # deterministic column signs: the largest entry of each eigenvector is positive
+        r = r * np.sign(r[np.argmax(np.abs(r), axis=0), np.arange(len(lam))])
+        entry = {"gamma": gamma, "eta": (r / lam) @ r.T, "r": r, "lam": lam}
         if self.with_grad:
             ddc = self._ddcell_full[:, t - 1 :: -1][:, :t]
             dgamma = np.einsum("laij,akj->lik", ddc, wb)
             dgamma = dgamma + np.swapaxes(dgamma, -1, -2)
-            deta = -np.einsum("pi,lik,kq->lpq", eta, dgamma, eta)
-            entry.update({"dgamma": dgamma, "deta": deta})
+            deta_r = -(r.T @ dgamma @ r) / np.outer(lam, lam)
+            entry.update({"dgamma": dgamma, "deta_r": deta_r, "deta": r @ deta_r @ r.T})
         return entry
 
     def mean(self, a, t: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -450,92 +468,62 @@ class AdditiveKernels:
             return mean, None
         return mean, self._dppow[:, t] @ a + self._ddrift_sum[t]
 
-    def rotation(self, t: int) -> np.ndarray:
-        """Orthonormal eigenvectors of gamma_t (deterministic column signs)."""
-        gamma = self.at(t)["gamma"]
-        _, vec = np.linalg.eigh(gamma)
-        for j in range(vec.shape[1]):
-            k = int(np.argmax(np.abs(vec[:, j])))
-            if vec[k, j] < 0:
-                vec[:, j] = -vec[:, j]
-        return vec
-
-    def rotated_at(self, t: int) -> tuple[np.ndarray, dict]:
-        """Kernel entry of the decorrelated state Z = R^T Y (R fixed at theta).
-
-        Z is again a linear-additive functional of the same driving noise, so
-        the whole weight machinery applies verbatim with kernels R^T D; its
-        matrix gamma^Z = R^T gamma R is diagonal at the evaluation parameter,
-        which makes the orthant masses of the density representation factor
-        into marginal tails. Every ingredient is a rotation of the base entry.
-        """
-        if t not in self._rotated:
-            base = self.at(t)
-            r = self.rotation(t)
-            entry = {"gamma": r.T @ base["gamma"] @ r, "eta": r.T @ base["eta"] @ r}
-            if self.with_grad:
-                entry["deta"] = np.einsum("mp,lmk,kq->lpq", r, base["deta"], r)
-            self._rotated[t] = (r, entry)
-        return self._rotated[t]
-
     def at(self, t: int) -> dict:
         if t not in self._per_node:
             raise ConfigError(f"node {t} was not requested at kernel construction")
         return self._per_node[t]
 
-    def _entry(self, t: int, rotated: bool) -> dict:
-        return self.rotated_at(t)[1] if rotated else self.at(t)
-
-    def levels(self, indices: tuple, t: int, rotated: bool = False):
-        """Polynomial levels for a 1-based weight index tuple."""
-        key = (tuple(int(j) for j in indices), t, rotated)
+    def levels(self, indices: tuple, t: int) -> list:
+        """Wick polynomial levels [P_0, ..., P_n] in G for a 1-based weight index tuple."""
+        key = (tuple(int(j) for j in indices), t)
         if key not in self._poly_cache:
             if not all(1 <= j <= self.model.m for j in key[0]):
                 raise ConfigError(f"weight indices must lie in 1..{self.model.m}: {indices}")
-            e = self._entry(t, rotated)
-            deta = e["deta"] if self.with_grad else None
             zero_based = tuple(j - 1 for j in key[0])
-            self._poly_cache[key] = _wick_levels(zero_based, e["eta"], deta)
+            self._poly_cache[key] = _wick_levels(zero_based, self.at(t)["eta"])
         return self._poly_cache[key]
 
     def read_off(
-        self, y_c: np.ndarray, t: int, dy_c: np.ndarray | None = None, rotated: bool = False
+        self, y_c: np.ndarray, t: int, dy_c: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """(G, dG/dtheta) = (eta_t y_c, deta_t y_c + eta_t dy_c) off the centered state.
 
         y_c = Y_t - E[Y_t] (..., m) and dy_c = dY_t/dtheta - dE[Y_t]/dtheta
         (..., q, m); G is (..., m), dG is (..., q, m), or None without dy_c.
         """
-        e = self._entry(t, rotated)
+        e = self.at(t)
         g = y_c @ e["eta"].T
         if dy_c is None:
             return g, None
         return g, np.einsum("lpj,...j->...lp", e["deta"], y_c) + dy_c @ e["eta"].T
 
-    def grad_weight(
-        self, indices: tuple, g: np.ndarray, dg: np.ndarray, t: int, rotated: bool = False
-    ) -> np.ndarray:
+    def grad_weight(self, indices: tuple, g: np.ndarray, dg: np.ndarray, t: int) -> np.ndarray:
         """Theta-gradient of H_(indices) from G (..., m) and dG (..., q, m): (..., q).
 
-        Chain rule: the explicit theta-dependence of the polynomial plus
-        sum_p dH/dG_p dG_p/dtheta.
+        sum_p dH/dG_p dG_p - 1/2 sum_jk deta_jk d_j d_k H: H is a Wick polynomial
+        with covariance eta, so its explicit theta-dependence follows from the
+        heat equation dH/deta_jk = -1/2 d_j d_k H.
         """
-        poly, dots = self.levels(indices, t, rotated)[-1]
-        out = np.stack([dot(g) for dot in dots], axis=-1)  # (..., q)
-        for p in range(self.model.m):
-            out = out + poly.deriv(p)(g)[..., None] * dg[..., p]
+        poly = self.levels(indices, t)[-1]
+        deta = self.at(t)["deta"]
+        out = np.zeros(g.shape[:-1] + (self.model.q,))
+        for j in range(self.model.m):
+            dpoly = poly.deriv(j)
+            out = out + dpoly(g)[..., None] * dg[..., j]
+            for k in range(self.model.m):
+                out = out - 0.5 * deta[:, j, k] * dpoly.deriv(k)(g)[..., None]
         return out
 
     def weight_values(self, indices: tuple, increments: np.ndarray, t: int) -> np.ndarray:
         """H_(indices) per path (N,) from the increments (N, d, M>=t), projected
         onto the kernel columns: G = eta sum_k D_tk dB_k, the read-off's reference."""
-        poly, _ = self.levels(indices, t)[-1]
+        poly = self.levels(indices, t)[-1]
         noise = np.einsum("aji,nia->nj", self._cells(t), increments[:, :, :t])
         return poly(np.einsum("pj,nj->np", self.at(t)["eta"], noise))
 
     def kernel_dfield(self, indices: tuple, g_one: np.ndarray, t: int) -> np.ndarray:
         """Realized D^i_s of the final kernel for one path, shape (cells, d)."""
-        poly, _ = self.levels(indices, t)[-1]
+        poly = self.levels(indices, t)[-1]
         coeffs = np.array([poly.deriv(p)(g_one) for p in range(self.model.m)])
         return np.einsum("j,aji->ai", coeffs @ self.at(t)["eta"], self._cells(t))
 
@@ -687,8 +675,8 @@ def h_weight(indices: tuple, bundle: PathBundle, t: int | None = None) -> Weight
         y = bundle.y.values
         g, _ = kernels.read_off(y[:, t] - kernels.mean(y[:, 0], t)[0], t)
         levels = kernels.levels(indices, t)
-        out = WeightValue(indices=indices, value=float(levels[-1][0](g)))
-        for r, (poly, _) in enumerate(levels):
+        out = WeightValue(indices=indices, value=float(levels[-1](g)))
+        for r, poly in enumerate(levels):
             dfield = kernels.kernel_dfield(indices[:r], g, t)
             out.levels.append(KernelLevel(value=float(poly(g)), dfield=dfield))
         return out

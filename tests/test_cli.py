@@ -1,12 +1,16 @@
 """Command-line surface: files, determinism, exit codes."""
 
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracmle.cli import main
+from fracmle.cli import RunConfig, main
 from fracmle.fbm import TimeGrid, simulate_fbm
 
 
@@ -141,14 +145,60 @@ class TestEstimate:
             {"theta0": ["a"]},
             {"initial_state": [0.0, 1.0]},
             {"initial_state": "zero"},
+            *({"mc_paths": "auto", "budget_scale": v} for v in (0, 0.0, -1, -math.inf, math.nan)),
+            {"mc_paths": "auto", "budget_scale": 0, "horizon": 1},
+            {"model": ["fou"]},
+            {"model": {"name": "fou"}},
+            {"observations_csv": 1},
+            {"observations_csv": True},
+            {"observations_csv": 0},
+            {"model_spec_path": 1},
+            {"model_spec_path": True},
+            {"include_fbm_columns": "yes"},
+            {"box": [[0.0, math.nan]]},
+            {"box": [[1.0, 0.1]]},
+            {"horizon": math.nan},
+            {"horizon": 10**400},
+            {"initial_state": [math.nan]},
+            {"theta0": [math.nan]},
         ],
         ids=["mc_paths", "hurst", "observations", "replications", "schedule_key", "seed",
-             "box_row", "box_type", "theta0_type", "initial_state_length", "initial_state_type"],
+             "box_row", "box_type", "theta0_type", "initial_state_length", "initial_state_type",
+             "scale_0", "scale_0.0", "scale_-1", "scale_-inf", "scale_nan", "scale_0_horizon_1",
+             "model_list", "model_dict", "csv_1", "csv_true", "csv_0", "spec_1", "spec_true",
+             "fbm_columns", "box_nan", "box_reversed", "horizon_nan", "horizon_huge", "initial_state_nan",
+             "theta0_nan"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, over):
         cfg = write_config(tmp_path, **over)
         assert main(["estimate", "--config", cfg, "--outdir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+FUZZ_FIELDS = sorted(f for f in RunConfig.__dataclass_fields__ if f != "raw")
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 2.5, "x", None, True, [], [[]], {},
+               [1.0], [[0.1, 1.0]]]
+
+
+# "auto" is left out of the values: with a valid budget_scale it runs 10^6 paths
+@settings(max_examples=300)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_config_exits_with_a_code(field, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = small_config(iterations=1, replications=1)
+        doc[field] = value
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        code = main(["estimate", "--config", cfg, "--outdir", out])
+        for fd in (0, 1):
+            os.fstat(fd)  # raises if the run closed stdin or stdout
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            with open(os.path.join(out, "estimates.csv")) as fh:
+                row = fh.read().splitlines()[1].split(",")
+            assert all(math.isfinite(float(v)) for v in row[1:])
 
 
 class TestHurst:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracmle.errors import ConfigError, DegenerateSeriesError
 from fracmle.fbm import (
@@ -78,6 +80,14 @@ class TestSimulation:
         rho = _fgn_autocovariance(h, m, dt)
         want = np.array([[rho[abs(i - j)] for j in range(m)] for i in range(m)])
         assert np.abs(got - want).max() < 1e-14
+
+    @given(h=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True), m=st.integers(2, 300),
+           dt=st.floats(1e-3, 10.0))
+    def test_gram_matrix_is_fgn_covariance(self, h, m, dt):
+        amat = fgn_from_normals(h, m, dt, np.eye(2 * m)).T  # (M, 2M): the linear map
+        rho = _fgn_autocovariance(h, m, dt)
+        lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        assert np.abs(amat @ amat.T - rho[lag]).max() <= 1e-12 * rho[0]
 
     def test_brownian_limit_increment_variance(self):
         # h -> 1/2: increments behave like Brownian ones, var = T/M

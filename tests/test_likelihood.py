@@ -59,6 +59,11 @@ class TestBudget:
         with pytest.warns(UserWarning, match="capping"):
             assert allocate_budget(50, 0.55, horizon=10, m=1, d=1) == 10**6
 
+    @pytest.mark.parametrize("scale", [0, 0.0, -1.0, -np.inf, np.inf, np.nan])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ConfigError, match="scale"):
+            allocate_budget(50, 0.55, horizon=10, m=1, d=1, scale=scale)
+
     def test_gamma_guard(self):
         with pytest.raises(ConfigError):
             allocate_budget(100, 0.5, horizon=1.0, m=1, d=1)
@@ -402,8 +407,8 @@ class TestDiscretizationRates:
             mean, dmean = kern.mean(np.zeros(1), m)
             y_c = paths[:, m] - mean
             g, dg = kern.read_off(y_c, m, grads[:, m] - dmean)
-            h1 = kern.levels((1,), m)[-1][0](g)
-            h11 = kern.levels((1, 1), m)[-1][0](g)
+            h1 = kern.levels((1,), m)[-1](g)
+            h11 = kern.levels((1, 1), m)[-1](g)
             dh11 = kern.grad_weight((1, 1), g, dg, m)[:, 0]
             w, s = [], 0.0
             for yv in ys:

@@ -3,15 +3,21 @@
 For a linear drift and additive noise the Euler state is its mean plus a
 linear functional of the increments, so the Gaussians G = eta_t (Y_t - E[Y_t])
 and their theta-gradients can be read off the state. The properties pin the
-mean, G and dG against independent computations, without Monte Carlo.
+mean, G, dG and the weights' theta-gradients against independent
+computations, without Monte Carlo.
 """
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fracmle.fbm import TimeGrid, fgn_from_normals
-from fracmle.malliavin import AdditiveKernels, theta_gradient_batch
+from fracmle.malliavin import (
+    AdditiveKernels, _wick_levels, eigenframe_weight_2m, theta_gradient_batch,
+)
 from fracmle.models import ModelSpec, get_model
 from fracmle.pathwise import euler_solve_batch
 
@@ -101,8 +107,9 @@ def test_read_off_g_equals_projection(case):
         g, _ = kern.read_off(y_c, t)
         proj = np.stack([kern.weight_values((p + 1,), incr, t) for p in range(model.m)], -1)
         _close(g, proj, 1e-10)
-        r, _ = kern.rotated_at(t)
-        _close(kern.read_off(y_c @ r, t, rotated=True)[0], g @ r, 1e-10)
+        # in the eigenframe of gamma_t, eta is diag(1/lam)
+        e = kern.at(t)
+        _close(g @ e["r"], (y_c @ e["r"]) / e["lam"], 1e-10)
 
 
 @given(case=cases())
@@ -141,5 +148,88 @@ def test_read_off_dg_equals_central_difference(case):
             fd = (8 * (g_at[1] - g_at[-1]) - (g_at[2] - g_at[-2])) / (12 * eps)
             # G itself sets the scale where it does not depend on theta_l
             _close(dg[:, l], fd, rel, scale=g_scale)
-        r, _ = kern.rotated_at(t)
-        _close(kern.read_off(y_c @ r, t, dy_c @ r, rotated=True)[1], dg @ r, 1e-10)
+        e = kern.at(t)
+        z_c = y_c @ e["r"]
+        dg_r = np.einsum("lpj,...j->...lp", e["deta_r"], z_c) + (dy_c @ e["r"]) / e["lam"]
+        _close(dg @ e["r"], dg_r, 1e-10)
+
+
+def test_read_off_dg_exact_at_condition_3e7():
+    # linear2d near the top of its box: cond(gamma_t) = 2.8e7. The reference
+    # is exact rational arithmetic on the same float64 gamma, dgamma, y_c and
+    # dy_c, so it measures only the rounding of the read-off.
+    model, theta, h, t = get_model("linear2d"), np.array([9.57, 9.26]), 0.9, 48
+    grid = TimeGrid(1.0, t)
+    kern = AdditiveKernels(model, theta, grid, h, [t], with_grad=True)
+    e = kern.at(t)
+    assert np.linalg.cond(e["gamma"]) > 2e7
+    incr = _increments(model, grid, h, seed=3, n=8)
+    paths = euler_solve_batch(model, theta, incr, np.zeros(2), grid.dt)
+    grads = theta_gradient_batch(model, theta, incr, paths, grid.dt)
+    mean, dmean = kern.mean(np.zeros(2), t)
+    y_c, dy_c = paths[:, t] - mean, grads[:, t] - dmean
+    _, dg = kern.read_off(y_c, t, dy_c)
+
+    def frac(a):
+        return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=float))
+
+    gam = frac(e["gamma"])
+    eta = np.array([[gam[1, 1], -gam[0, 1]], [-gam[1, 0], gam[0, 0]]]) / (
+        gam[0, 0] * gam[1, 1] - gam[0, 1] * gam[1, 0]
+    )
+    deta = np.stack([-eta @ frac(e["dgamma"][l]) @ eta for l in range(model.q)])
+    exact = np.einsum("lpj,nj->nlp", deta, frac(y_c)) + frac(dy_c) @ eta.T
+    for got, want in ((dg, exact), (dg @ e["r"], exact @ frac(e["r"]))):
+        want = want.astype(float)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+@given(case=cases())
+def test_grad_weight_explicit_term_equals_central_difference(case):
+    # with dG = 0, grad_weight is the heat-equation term -1/2 deta_jk d_j d_k H,
+    # which must equal the theta-derivative of the Wick polynomial at fixed G
+    model, theta, grid, a, h, seed = case
+    t = grid.steps
+    kern = AdditiveKernels(model, theta, grid, h, [t], with_grad=True)
+    incr = _increments(model, grid, h, seed, n=4)
+    paths = euler_solve_batch(model, theta, incr, a, grid.dt)
+    g, _ = kern.read_off(paths[:, t] - kern.mean(a, t)[0], t)
+    rel = 1e-6 * max(1.0, np.linalg.cond(kern.at(t)["gamma"]) / 1e4)
+    eps = 1e-4
+    shifted = {}
+    for l, k in itertools.product(range(model.q), (-2, -1, 1, 2)):
+        th = theta.copy()
+        th[l] += k * eps
+        shifted[l, k] = AdditiveKernels(model, th, grid, h, [t])
+    for depth in range(1, 2 * model.m + 1):
+        got, fd = [], []
+        for idx in itertools.product(range(1, model.m + 1), repeat=depth):
+            got.append(kern.grad_weight(idx, g, np.zeros((len(g), model.q, model.m)), t))
+            at = {lk: kr.levels(idx, t)[-1](g) for lk, kr in shifted.items()}
+            fd.append(np.stack([
+                (8 * (at[l, 1] - at[l, -1]) - (at[l, 2] - at[l, -2])) / (12 * eps)
+                for l in range(model.q)
+            ], axis=-1))
+        _close(np.array(got), np.array(fd), rel)
+
+
+@given(m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_eigenframe_weight_2m_equals_wick_recursion(m, seed):
+    # the closed form against the generic recursion with covariance diag(1/lam)
+    # and the heat-equation gradient with deta_r
+    rng = np.random.default_rng(seed)
+    q = 2
+    lam = rng.uniform(0.1, 10.0, m)
+    deta_r = rng.uniform(-1.0, 1.0, (q, m, m))
+    deta_r = deta_r + np.swapaxes(deta_r, 1, 2)
+    g = rng.uniform(-3.0, 3.0, (8, m))
+    dg = rng.uniform(-1.0, 1.0, (8, q, m))
+    poly = _wick_levels(tuple(range(m)) * 2, np.diag(1.0 / lam))[-1]
+    dh_want = np.zeros((8, q))
+    for j in range(m):
+        dh_want += poly.deriv(j)(g)[:, None] * dg[..., j]
+        for k in range(m):
+            dh_want -= 0.5 * deta_r[:, j, k] * poly.deriv(j).deriv(k)(g)[:, None]
+    h, dh = eigenframe_weight_2m(g, dg, lam, deta_r)
+    _close(h, poly(g), 1e-12, scale=1.0)
+    _close(dh, dh_want, 1e-12, scale=1.0)
