@@ -533,10 +533,18 @@ def strong_rate_curve(
     seed: int,
     a=None,
 ) -> tuple[list[int], np.ndarray]:
-    """RMS sup-norm Euler error against the same path solved at m_ref steps."""
+    """RMS sup-norm Euler error against the same path solved at m_ref steps.
+
+    Every M must lie in 1..m_ref and divide m_ref, and n_paths must be >= 1;
+    anything else raises ConfigError.
+    """
     m_list = sorted(int(m) for m in m_list)
     if len(m_list) < 2:
         raise ConfigError("rate study needs at least two grid sizes to fit a slope")
+    if m_list[0] < 1 or m_list[-1] > m_ref:  # also rejects m_ref < 1
+        raise ConfigError(f"every M must lie in 1..m_ref = {m_ref}, got {m_list}")
+    if n_paths < 1:
+        raise ConfigError(f"rate study needs at least one path, got {n_paths}")
     if any(m_ref % m for m in m_list):
         raise ConfigError(f"reference steps {m_ref} must be divisible by every M in {m_list}")
     from .fbm import FbmPath

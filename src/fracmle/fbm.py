@@ -28,6 +28,7 @@ __all__ = [
     "fbm_covariance",
     "simulate_fbm",
     "fgn_from_normals",
+    "fgn_adjoint",
     "singular_cell_weights",
     "weighted_inner",
     "indicator_cells",
@@ -150,6 +151,26 @@ def fgn_from_normals(h: float, m: int, dt: float, z: np.ndarray) -> np.ndarray:
     return path[..., :m].real
 
 
+def fgn_adjoint(h: float, m: int, dt: float, v: np.ndarray) -> np.ndarray:
+    """Transpose of the Davies-Harte map: <v, fgn_from_normals(z)> = <fgn_adjoint(v), z>.
+
+    v has shape (..., M); returns (..., 2M) in the slot layout of
+    fgn_from_normals. With u = sqrt(eig) * FFT_2M(v zero-padded) / sqrt(2M),
+    slot 0 gets Re u_0, slot 1 gets Re u_M, slots 2..M get sqrt(2) Re u_1..M-1
+    and slots M+1..2M-1 get -sqrt(2) Im u_1..M-1: one real FFT per row.
+    """
+    if v.shape[-1] != m:
+        raise ConfigError(f"need {m} increments per row, got {v.shape[-1]}")
+    eig = _embedding_eigenvalues(h, m, dt)
+    u = np.sqrt(eig[: m + 1]) * np.fft.rfft(v, n=2 * m, axis=-1) / np.sqrt(2 * m)
+    out = np.empty(v.shape[:-1] + (2 * m,))
+    out[..., 0] = u[..., 0].real
+    out[..., 1] = u[..., m].real
+    out[..., 2 : m + 1] = np.sqrt(2.0) * u[..., 1:m].real
+    out[..., m + 1 :] = -np.sqrt(2.0) * u[..., 1:m].imag
+    return out
+
+
 def simulate_fbm(
     grid: TimeGrid, d: int, h: HurstParam | float, seed: int
 ) -> FbmPath:
@@ -228,8 +249,11 @@ def rs_window_sizes(n: int, min_window: int = 32) -> list[int]:
     """Dyadic window sizes min_window, 2*min_window, ... up to n/4.
 
     Series too short for two dyadic sizes fall back to {n//8, n//4} so that a
-    slope is still defined (needed for short grouped series).
+    slope is still defined (needed for short grouped series). A minimum
+    window below 2 raises ConfigError: the doubling would never pass n/4.
     """
+    if min_window < 2:
+        raise ConfigError(f"minimum window must be >= 2, got {min_window}")
     sizes = []
     w = min_window
     while w <= n // 4:
@@ -248,8 +272,11 @@ def estimate_hurst_rs(series: np.ndarray, min_window: int = 32) -> float:
     Blocks are non-overlapping; degenerate blocks (zero standard deviation)
     are dropped, and a fully degenerate series raises. The default minimum
     window of 32 keeps the short-window upward bias of the statistic within
-    a few hundredths at series lengths in the thousands.
+    a few hundredths at series lengths in the thousands; one below 2 raises
+    ConfigError.
     """
+    if min_window < 2:
+        raise ConfigError(f"minimum window must be >= 2, got {min_window}")
     x = np.asarray(series, dtype=float).ravel()
     if x.size < 32:
         raise ConfigError(f"series length must be >= 32, got {x.size}")

@@ -32,7 +32,7 @@ from .malliavin import (
     AdditiveKernels, PathBundle, eigenframe_weight_2m, h_weight, theta_gradient_batch,
 )
 from .models import ModelSpec
-from .pathwise import euler_solve_batch, SolutionPath
+from .pathwise import check_finite, euler_solve_batch, SolutionPath
 
 __all__ = [
     "Observations",
@@ -156,9 +156,13 @@ def _block_seeds(seed: int, key: tuple, n_paths: int):
         b += 1
 
 
+def _draw_normals(rng, n_block: int, d: int, grid: TimeGrid) -> np.ndarray:
+    """The standard normals (n_block, d, 2M) behind one block of driving paths."""
+    return rng.standard_normal((n_block, d, 2 * grid.steps))
+
+
 def _draw_increments(rng, n_block: int, d: int, grid: TimeGrid, h: HurstParam) -> np.ndarray:
-    z = rng.standard_normal((n_block, d, 2 * grid.steps))
-    return fgn_from_normals(h.h, grid.steps, grid.dt, z)
+    return fgn_from_normals(h.h, grid.steps, grid.dt, _draw_normals(rng, n_block, d, grid))
 
 
 def _phi_bar(z: np.ndarray) -> np.ndarray:
@@ -254,6 +258,13 @@ def estimate_density(
     "positive-part" (E[(Y-x)_+ H_(1..m,1..m)]), or "auto" (the indicator on
     the tail side of x, an exact rearrangement through E[H] = 0 that keeps
     the estimator variance small at both tails).
+
+    Linear-additive models read the Euler state at the node as one product
+    with the sampler's normals, Y_t = E[Y_t] + z @ L_t (AdditiveKernels.normals_map),
+    with no fGn synthesis and no Euler loop; the normals and their streams are
+    those the Euler route would use, and a state beyond pathwise.DIVERGENCE_LIMIT
+    raises DivergenceError as the Euler solver does. Nonlinear models solve Euler
+    per block.
     """
     theta = model.check_theta(theta)
     hp = HurstParam.coerce(h)
@@ -273,10 +284,12 @@ def estimate_density(
             _, s = _tail_sides(x, mean, np.diag(kernels.at(t_node)["gamma"]))
         depth = 2 if representation == "positive-part" else 1
         poly = kernels.levels(idx_m * depth, t_node)[-1]
+        lmap = kernels.normals_map(t_node)
         for _, nb, rng in _block_seeds(seed, stream_key, budget.mc_paths):
-            incr = _draw_increments(rng, nb, model.d, grid, hp)
-            y_t = euler_solve_batch(model, theta, incr, a, grid.dt)[:, t_node, :]
-            h = poly(kernels.read_off(y_t - mean, t_node)[0])
+            y_c = _draw_normals(rng, nb, model.d, grid).reshape(nb, -1) @ lmap
+            y_t = mean + y_c
+            check_finite(y_t, t_node, "estimate_density")
+            h = poly(kernels.read_off(y_c, t_node)[0])
             if representation == "positive-part":
                 vals = _positive_part(y_t, x) * h
             else:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, DivergenceError, NearSingularityError
-from .fbm import FbmPath, HurstParam, TimeGrid, singular_cell_weights
+from .fbm import FbmPath, HurstParam, TimeGrid, fgn_adjoint, singular_cell_weights
 from .models import ModelSpec
 from .pathwise import SolutionPath
 
@@ -373,7 +373,8 @@ class AdditiveKernels:
     eta = diag(1/lam) and, with gradients, deta_r = -(r^T dgamma r) / (lam_j lam_k).
     at(t) holds r, lam, deta_r and the base-frame views gamma, eta = r diag(1/lam) r^T,
     dgamma and deta = r deta_r r^T; the weights read G = eta (Y - E[Y]) and its
-    theta-gradient off the Euler state.
+    theta-gradient off the centered state. normals_map(t) gives that state as one
+    product with the normals that drive the Davies-Harte sampler.
     """
 
     def __init__(
@@ -436,6 +437,20 @@ class AdditiveKernels:
     def _cells(self, t: int) -> np.ndarray:
         """Kernel columns D_tk = P^(t-1-k) sigma over cells k < t, shape (t, m, d)."""
         return self._dcell_full[t - 1 :: -1][:t]
+
+    def normals_map(self, t: int) -> np.ndarray:
+        """L_t of shape (d*2M, m) with Y_t - E[Y_t] = z.reshape(N, -1) @ L_t.
+
+        z (N, d, 2M) are the normals that fgn_from_normals maps to the driving
+        increments; L_t is the adjoint Davies-Harte map applied to the kernel
+        columns D_tk, zero for cells k >= t.
+        """
+        self.at(t)  # requested nodes only, as everywhere else
+        m, d, steps = self.model.m, self.model.d, self.grid.steps
+        cols = np.zeros((d, m, steps))
+        cols[:, :, :t] = self._cells(t).T
+        adj = fgn_adjoint(self.h.h, steps, self.grid.dt, cols)  # (d, m, 2M)
+        return adj.transpose(0, 2, 1).reshape(d * 2 * steps, m)
 
     def _build_entry(self, t: int) -> dict:
         # one O(t^2) kernel product shared by gamma and its gradient

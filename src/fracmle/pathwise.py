@@ -22,6 +22,7 @@ __all__ = [
     "euler_solve",
     "euler_solve_batch",
     "linear_solve",
+    "check_finite",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -80,7 +81,8 @@ class ControlledCoeffs:
             raise ConfigError("xi1 and xi2 sampled on different grids")
 
 
-def _check_finite(state: np.ndarray, step: int, context: str = ""):
+def check_finite(state: np.ndarray, step: int, context: str = ""):
+    """Raise DivergenceError at `step` if a state is not finite or passes DIVERGENCE_LIMIT."""
     if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > DIVERGENCE_LIMIT:
         raise DivergenceError(step, context)
 
@@ -111,7 +113,7 @@ def linear_solve(coeffs: ControlledCoeffs, fbm: FbmPath, start: int = 0) -> Solu
                 noise = noise + coeffs.diffusion_forcing[j, k]
             incr = incr + noise * db[j, k]
         state = state + incr
-        _check_finite(state, k + 1, "linear_solve")
+        check_finite(state, k + 1, "linear_solve")
         z[:, k + 1] = state
     return SolutionPath(grid=grid, values=z)
 
@@ -142,6 +144,6 @@ def euler_solve_batch(
         mu = model.mu(state, theta)
         sig = model.sigma(state, theta)
         state = state + mu * dt + np.einsum("...ij,...j->...i", sig, increments[:, :, k])
-        _check_finite(state, k + 1, "euler_solve")
+        check_finite(state, k + 1, "euler_solve")
         out[:, k + 1] = state
     return out

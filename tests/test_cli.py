@@ -224,6 +224,15 @@ class TestHurst:
         rows = (out / "hurst.csv").read_text().splitlines()
         assert len(rows) == 4  # header + three groups
 
+    @pytest.mark.parametrize("min_window", [0, -3, 1])
+    def test_malformed_min_window_exits_2(self, tmp_path, capsys, min_window):
+        rng = np.random.default_rng(6)
+        path = self._series_csv(tmp_path, rng.standard_normal(200))
+        code = main(["hurst", path, "--column", "x", "--min-window", str(min_window),
+                     "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "minimum window" in capsys.readouterr().err
+
     def test_fbm_increments_estimate(self, tmp_path):
         fbm = simulate_fbm(TimeGrid(1.0, 4096), 1, 0.6, seed=8)
         path = self._series_csv(tmp_path, fbm.values[0])
@@ -244,6 +253,27 @@ class TestRateStudy:
              "--m-list", "64", "--m-ref", "256", "--paths", "2"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--m-list", "0", "16", "--m-ref", "64"],
+            ["--m-list", "-16", "16", "--m-ref", "64"],
+            ["--m-list", "16", "128", "--m-ref", "64"],
+            ["--m-list", "16", "32", "--m-ref", "0"],
+            ["--m-list", "16", "32", "--m-ref", "-64"],
+            ["--m-list", "16", "32", "--m-ref", "64", "--paths", "0"],
+            ["--m-list", "16", "32", "--m-ref", "64", "--paths", "-1"],
+        ],
+        ids=["m_0", "m_negative", "m_above_ref", "ref_0", "ref_negative", "paths_0",
+             "paths_negative"],
+    )
+    def test_out_of_range_arguments_exit_2(self, tmp_path, capsys, args):
+        cfg = write_config(tmp_path, horizon=1.0)
+        out = tmp_path / "r"
+        assert main(["rate-study", "--config", cfg, "--outdir", str(out)] + args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "rate.csv").exists()
 
     def test_small_study_slope_and_determinism(self, tmp_path):
         cfg = write_config(tmp_path, horizon=1.0, hurst=0.75, gamma=0.7)

@@ -12,6 +12,7 @@ from fracmle.fbm import (
     _fgn_autocovariance,
     estimate_hurst_rs,
     fbm_covariance,
+    fgn_adjoint,
     fgn_from_normals,
     indicator_cells,
     rs_window_sizes,
@@ -88,6 +89,22 @@ class TestSimulation:
         rho = _fgn_autocovariance(h, m, dt)
         lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
         assert np.abs(amat @ amat.T - rho[lag]).max() <= 1e-12 * rho[0]
+
+    @given(h=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True), m=st.integers(2, 300),
+           dt=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, h, m, dt, seed):
+        rng = np.random.default_rng(seed)
+        v, z = rng.standard_normal(m), rng.standard_normal(2 * m)
+        x = fgn_from_normals(h, m, dt, z)
+        gap = abs(v @ x - fgn_adjoint(h, m, dt, v) @ z)
+        assert gap <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(x)
+
+    def test_adjoint_is_batched_over_rows(self):
+        v = np.random.default_rng(3).standard_normal((2, 3, 50))
+        got = fgn_adjoint(0.7, 50, 0.1, v)
+        assert got.shape == (2, 3, 100)
+        want = np.array([[fgn_adjoint(0.7, 50, 0.1, row) for row in block] for block in v])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_brownian_limit_increment_variance(self):
         # h -> 1/2: increments behave like Brownian ones, var = T/M

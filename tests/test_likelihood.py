@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracmle.errors import CapabilityError, ConfigError, UnreliableScoreError
-from fracmle.fbm import TimeGrid, simulate_fbm
+from fracmle.errors import CapabilityError, ConfigError, DivergenceError, UnreliableScoreError
+from fracmle.fbm import TimeGrid, fgn_from_normals, simulate_fbm
 from fracmle.likelihood import (
     Budget,
     Observations,
@@ -16,9 +16,10 @@ from fracmle.likelihood import (
     estimate_density,
     score,
 )
-from fracmle.likelihood import _v_term, _w_factors
+from fracmle.likelihood import _tail_sides, _v_term, _w_factors
+from fracmle.malliavin import AdditiveKernels
 from fracmle.models import ModelSpec, get_model, ou_oracle
-from fracmle.pathwise import euler_solve
+from fracmle.pathwise import euler_solve, euler_solve_batch
 
 
 def _zero(shape):
@@ -122,6 +123,46 @@ class TestDensity:
         out1 = estimate_density(model, [0.5], 1.0, [0.0], bud, seed=11, h=0.6)
         out2 = estimate_density(model, [0.5], 1.0, [0.0], bud, seed=11, h=0.6)
         assert out1 == out2
+
+    @pytest.mark.parametrize("name, theta, a, x", [
+        ("fou", [0.5], [0.0], [0.3]),
+        ("linear2d", [2.0, 4.0], [0.0, 0.0], [0.1, -0.2]),
+        ("findrift", [0.015, 0.352], [100.0], [101.6]),
+    ])
+    def test_same_normals_as_the_euler_route(self, name, theta, a, x):
+        # One block rebuilt by hand: the block's normals through the sampler and
+        # the Euler solver, then the weight read off the centered state. The
+        # state is centered by Euler's own noise-free path (the leading zero
+        # increments): centering by the kernel mean would leave the reference's
+        # rounding of findrift's size-100 state in G, about 2e-12 here.
+        model, steps, n_paths, seed, h = get_model(name), 48, 3000, 21, 0.65
+        grid = TimeGrid(1.0, steps)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
+        incr = fgn_from_normals(h, steps, grid.dt, rng.standard_normal((n_paths, model.d, 2 * steps)))
+        incr = np.concatenate([np.zeros_like(incr[:1]), incr])
+        y_all = euler_solve_batch(model, np.array(theta), incr, np.array(a), grid.dt)[:, steps]
+        y_t = y_all[1:]
+        kernels = AdditiveKernels(model, theta, grid, h, [steps])
+        mean, _ = kernels.mean(a, steps)
+        g = kernels.read_off(y_t - y_all[0], steps)[0]
+        idx = tuple(range(1, model.m + 1))
+        h_m, h_2m = kernels.levels(idx, steps)[-1](g), kernels.levels(idx * 2, steps)[-1](g)
+        _, s = _tail_sides(np.array(x), mean, np.diag(kernels.at(steps)["gamma"]))
+        want = {
+            "indicator": np.prod(y_t > x, axis=1) * h_m,
+            "positive-part": np.prod(np.maximum(y_t - x, 0.0), axis=1) * h_2m,
+            "auto": s**model.m * np.prod(s * y_t > s * np.array(x), axis=1) * h_m,
+        }
+        for rep, vals in want.items():
+            got, _ = estimate_density(model, theta, 1.0, x, Budget(steps, n_paths, 0.55), seed,
+                                      h, a=a, representation=rep)
+            assert abs(got - vals.mean()) <= 1e-12 * abs(vals.mean()), rep
+
+    def test_divergent_state_raises(self):
+        # I + A dt = 1.625 per step: the state passes the divergence limit by t = 1
+        bud = Budget(64, 500, 0.55)
+        with pytest.raises(DivergenceError):
+            estimate_density(get_model("fou"), [-40.0], 1.0, [0.3], bud, seed=1, h=0.6)
 
     def test_nonlinear_scalar_supported(self):
         from tests.test_malliavin import sin_model
