@@ -29,6 +29,7 @@ __all__ = [
     "simulate_fbm",
     "fgn_from_normals",
     "fgn_adjoint",
+    "fgn_autocovariance",
     "singular_cell_weights",
     "weighted_inner",
     "indicator_cells",
@@ -112,16 +113,23 @@ def fbm_covariance(s: float, t: float, h: HurstParam | float) -> float:
     return 0.5 * (s**e + t**e - abs(t - s) ** e)
 
 
-def _fgn_autocovariance(h: float, m: int, dt: float) -> np.ndarray:
-    """Autocovariance of fGn increments at lags 0..m on a dt-spaced grid."""
-    k = np.arange(m + 1, dtype=float)
-    rho = 0.5 * ((k + 1) ** (2 * h) - 2 * k ** (2 * h) + np.abs(k - 1) ** (2 * h))
-    return dt ** (2 * h) * rho
+def fgn_autocovariance(h: float, m: int, dt: float) -> np.ndarray:
+    """Autocovariance of fGn increments at lags 0..m on a dt-spaced grid: the
+    sampler's circulant row and the Toeplitz covariance behind gamma_t.
+
+    rho(k) = ((k+1)^2H - 2 k^2H + (k-1)^2H) / 2 is evaluated as
+    k^2H (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))) / 2, so the second
+    difference loses digits in proportion to k instead of k^2.
+    """
+    k = np.arange(1, m + 1, dtype=float)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1, where (k-1)^2H = 0
+        diff = np.expm1(2 * h * np.log1p(1 / k)) + np.expm1(2 * h * np.log1p(-1 / k))
+    return dt ** (2 * h) * np.concatenate([[1.0], 0.5 * k ** (2 * h) * diff])
 
 
 @lru_cache(maxsize=32)
 def _embedding_eigenvalues(h: float, m: int, dt: float) -> np.ndarray:
-    rho = _fgn_autocovariance(h, m, dt)
+    rho = fgn_autocovariance(h, m, dt)
     row = np.concatenate([rho, rho[-2:0:-1]])  # length 2M, symmetric circulant row
     eig = np.fft.fft(row).real
     tol = 1e-8 * max(eig.max(), 1.0)

@@ -16,7 +16,10 @@ Two model classes are supported exactly:
   D_s Y_t is the deterministic kernel P^(t-s) sigma with P = I + A dt, every
   higher Malliavin derivative vanishes, and the U-recursion closes over
   polynomials in the m Gaussians G = eta_t int D_s Y_t dB_s, which equal
-  eta_t (Y_t - E[Y_t]) and are read off the Euler state. The recursion then
+  eta_t (Y_t - E[Y_t]) and are read off the Euler state. The law of Y_t (gamma_t,
+  its eigenframe and theta-gradient) comes at every node from one Toeplitz pass:
+  a causal convolution of the kernel columns with the fGn autocovariance and a
+  cumulative sum, then one batched eigh. The recursion then
   *is* the Hermite (Wick) recursion P -> P*X_p - sum_j C[j,p] dP/dX_j with
   C = eta, and expectations of every weight vanish exactly on the grid because
   the quadrature weights equal the exact increment covariance.
@@ -34,7 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, DivergenceError, NearSingularityError
-from .fbm import FbmPath, HurstParam, TimeGrid, fgn_adjoint, singular_cell_weights
+from .fbm import (
+    FbmPath, HurstParam, TimeGrid, fgn_adjoint, fgn_autocovariance, singular_cell_weights,
+)
 from .models import ModelSpec
 from .pathwise import SolutionPath
 
@@ -363,13 +368,46 @@ def eigenframe_weight_2m(
     return f.prod(axis=-1), dh
 
 
+def _powers(p: np.ndarray, dp: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P^0..P^n (n+1, m, m) and their theta-gradients (q, n+1, m, m) from dp = dP/dtheta
+    (q, m, m), by doubling: P^(u+k) = P^u P^k and d(P^u P^k) = dP^u P^k + P^u dP^k.
+    Overflow is left to the caller's finiteness check."""
+    pw, dpw = np.empty((n + 1,) + p.shape), np.zeros((len(dp), n + 1) + p.shape)
+    pw[0], pw[1], dpw[:, 1] = np.eye(len(p)), p, dp
+    k = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n:
+            j = min(k, n - k)
+            pw[k + 1 : k + 1 + j] = pw[1 : 1 + j] @ pw[k]
+            dpw[:, k + 1 : k + 1 + j] = dpw[:, 1 : 1 + j] @ pw[k] + pw[1 : 1 + j] @ dpw[:, k, None]
+            k += j
+    return pw, dpw
+
+
+def _causal_toeplitz(r: np.ndarray, x: np.ndarray, rho: float) -> np.ndarray:
+    """Q_a = r[0]/2 x_a + sum_{b<a} r[a-b] x_b over the leading axis of x (n, ...): one
+    FFT convolution. x_b growing like rho^b is convolved as
+    rho^a sum_b (r[a-b] rho^(b-a)) (x_b rho^-b), so the FFT's rounding, which is
+    relative to the largest input, stays relative to each Q_a instead of to the last.
+    """
+    n = x.shape[0]
+    col = (-1,) + (1,) * (x.ndim - 1)
+    tilt = rho ** -np.arange(n, dtype=float)
+    lag = np.fft.rfft(np.concatenate([[0.5 * r[0]], r[1:n] * tilt[1:]]), 2 * n).reshape(col)
+    q = np.fft.irfft(lag * np.fft.rfft(x * tilt.reshape(col), 2 * n, axis=0), 2 * n, axis=0)[:n]
+    q[0] = 0.5 * r[0] * x[0]  # exact, not FFT rounding: node 1 sees only this cell
+    return q / tilt.reshape(col)
+
+
 class AdditiveKernels:
     """Gaussian law of the Euler state Y_t of a linear-additive model at target nodes.
 
     With P = I + A dt and b = mu(0; theta), Y_n = P^n a + sum_{u<n} P^u b dt
     + sum_k D_nk dB_k with kernel D_nk = P^(n-1-k) sigma, whose weighted Gram
-    matrix gamma_n is the exact covariance of Y_n. Per node one eigh gives
-    gamma = r diag(lam) r^T, which is the weights' own frame: there
+    matrix gamma_n is the exact covariance of Y_n. The law at every node comes
+    from one Toeplitz pass (a causal FFT convolution of the columns P^a sigma
+    with the fGn autocovariance, then a cumulative sum), and one batched eigh
+    gives gamma = r diag(lam) r^T per node, which is the weights' own frame: there
     eta = diag(1/lam) and, with gradients, deta_r = -(r^T dgamma r) / (lam_j lam_k).
     at(t) holds r, lam, deta_r and the base-frame views gamma, eta = r diag(1/lam) r^T,
     dgamma and deta = r deta_r r^T; the weights read G = eta (Y - E[Y]) and its
@@ -395,43 +433,64 @@ class AdditiveKernels:
         self.grid = grid
         self.h = HurstParam.coerce(h)
         self.nodes = sorted(int(t) for t in np.atleast_1d(nodes))
+        bad = [t for t in self.nodes if not 1 <= t <= grid.steps]
+        if bad:
+            raise ConfigError(f"node {bad[0]} outside 1..{grid.steps}")
         self.with_grad = with_grad
         m, d, q = model.m, model.d, model.q
         y0 = np.zeros(m)
         a = np.broadcast_to(np.asarray(model.dmu(y0, self.theta), float), (m, m))
         b = np.asarray(model.mu(y0, self.theta), float)
         sig = _sigma_at(model, y0, self.theta)
-        dt = grid.dt
-        p = np.eye(m) + a * dt
-        nmax = max(self.nodes)
-        ppow = np.empty((nmax + 1, m, m))
-        ppow[0] = np.eye(m)
-        for u in range(nmax):
-            ppow[u + 1] = ppow[u] @ p
-        if not np.all(np.isfinite(ppow)) or np.abs(ppow[-1]).max() > 1e100:
-            raise DivergenceError(
-                nmax, f"Euler factor I + A dt unstable for theta={self.theta} at dt={dt:g}"
-            )
-        self._ppow = ppow
-        # [n] = sum_{u<n} P^u b dt, and below its theta-gradient
-        self._drift_sum = np.cumsum(np.concatenate([np.zeros((1, m)), ppow[:-1] @ b]), 0) * dt
-        self._dcell_full = ppow @ sig  # (nmax+1, m, d); cell k of node n uses index n-1-k
         if with_grad:
             da = np.broadcast_to(np.asarray(model.grad_dmu(y0, self.theta), float), (q, m, m))
             db = np.broadcast_to(np.asarray(model.grad_mu(y0, self.theta), float), (q, m))
             dsig = np.broadcast_to(np.asarray(model.grad_sigma(y0, self.theta), float), (q, m, d))
-            dppow = np.zeros((q, nmax + 1, m, m))
-            dp = da * dt
-            for u in range(nmax):
-                dppow[:, u + 1] = dppow[:, u] @ p + ppow[u] @ dp
-            self._dppow = dppow
-            dterms = np.einsum("luij,j->uli", dppow, b) + np.einsum("uij,lj->uli", ppow, db)
-            self._ddrift_sum = np.cumsum(np.concatenate([np.zeros((1, q, m)), dterms[:-1]]), 0) * dt
-            self._ddcell_full = dppow @ sig + ppow[None, ...] @ dsig[:, None, :, :]
-        self._per_node: dict[int, dict] = {}
-        self._w = singular_cell_weights(grid, self.h)
-        for t in self.nodes:
-            self._per_node[t] = self._build_entry(t)
+        else:  # an empty parameter axis: one code path serves both
+            da, db, dsig = np.zeros((0, m, m)), np.zeros((0, m)), np.zeros((0, m, d))
+        dt = grid.dt
+        nmax = self.nodes[-1]
+        ppow, dppow = _powers(np.eye(m) + a * dt, da * dt, nmax)
+        finite = np.all(np.isfinite(ppow)) and np.all(np.isfinite(dppow))
+        if not finite or np.abs(ppow[-1]).max() > 1e100:
+            raise DivergenceError(
+                nmax, f"Euler factor I + A dt unstable for theta={self.theta} at dt={dt:g}"
+            )
+        self._ppow, self._dppow = ppow, dppow
+        # [n] = sum_{u<n} P^u b dt, and its theta-gradient
+        self._drift_sum = np.cumsum(np.concatenate([np.zeros((1, m)), ppow[:-1] @ b]), 0) * dt
+        dterms = np.einsum("luij,j->uli", dppow, b) + np.einsum("uij,lj->uli", ppow, db)
+        self._ddrift_sum = np.cumsum(np.concatenate([np.zeros((1,) + db.shape), dterms[:-1]]), 0) * dt
+        self._dcell_full = ppow @ sig  # K_a = P^a sigma; cell k of node n uses a = n-1-k
+        # gamma_t = sum_{a,b<t} K_a r(|a-b|) K_b^T over the fGn autocovariance r. With
+        # Q_a = r(0)/2 K_a + sum_{b<a} r(a-b) K_b it is the cumulative sum of
+        # K_a Q_a^T + Q_a K_a^T, and C_t = Cov(dY_t, Y_t) that of dK_a Q_a^T + dQ_a K_a^T,
+        # at every node up to nmax in one pass; dgamma_t = C_t + C_t^T
+        dkern = dppow[:, :nmax] @ sig + ppow[None, :nmax] @ dsig[:, None]
+        kern = np.concatenate([self._dcell_full[:nmax, None], dkern.swapaxes(0, 1)], axis=1)
+        rho = max(1.0, np.abs(np.linalg.eigvals(ppow[1])).max())  # growth rate of K_a
+        qk = _causal_toeplitz(fgn_autocovariance(self.h.h, nmax, dt), kern, rho)
+        # kern and qk are (nmax, 1+q, m, d): K_a, Q_a, then dK_a, dQ_a per parameter
+        terms = np.einsum("alij,akj->alik", kern, qk[:, 0])
+        terms += np.einsum("alij,akj->alik", qk, kern[:, 0])
+        law = np.cumsum(terms, axis=0)[np.array(self.nodes) - 1]  # (nodes, 1+q, m, m)
+        gamma, c = law[:, 0], law[:, 1:]
+        # one eigh over the node stack: gamma = r diag(lam) r^T
+        lam, rot = np.linalg.eigh(gamma)
+        cond = np.divide(lam[:, -1], lam[:, 0], out=np.full(len(lam), np.inf), where=lam[:, 0] > 0)
+        if not np.all(cond <= _COND_LIMIT):
+            i = int(np.argmin(cond <= _COND_LIMIT))  # the first failing node
+            raise NearSingularityError(node=self.nodes[i], condition=cond[i])
+        # deterministic column signs: the largest entry of each eigenvector is positive
+        rot = rot * np.sign(np.take_along_axis(rot, np.abs(rot).argmax(1)[:, None], axis=1))
+        rot_t = rot.swapaxes(1, 2)
+        stack = {"gamma": gamma, "eta": (rot / lam[:, None]) @ rot_t, "r": rot, "lam": lam}
+        if with_grad:
+            dgamma = c + c.swapaxes(2, 3)
+            lam2 = lam[:, None, :, None] * lam[:, None, None]
+            deta_r = -(rot_t[:, None] @ dgamma @ rot[:, None]) / lam2
+            stack.update(dgamma=dgamma, deta_r=deta_r, deta=rot[:, None] @ deta_r @ rot_t[:, None])
+        self._per_node = {t: {k: v[i] for k, v in stack.items()} for i, t in enumerate(self.nodes)}
         self._poly_cache: dict = {}
 
     def _cells(self, t: int) -> np.ndarray:
@@ -451,27 +510,6 @@ class AdditiveKernels:
         cols[:, :, :t] = self._cells(t).T
         adj = fgn_adjoint(self.h.h, steps, self.grid.dt, cols)  # (d, m, 2M)
         return adj.transpose(0, 2, 1).reshape(d * 2 * steps, m)
-
-    def _build_entry(self, t: int) -> dict:
-        # one O(t^2) kernel product shared by gamma and its gradient
-        dc = self._cells(t)
-        wb = (self._w[:t, :t] @ dc.reshape(t, -1)).reshape(dc.shape)
-        gamma = np.einsum("aij,akj->ik", dc, wb)
-        gamma = 0.5 * (gamma + gamma.T)
-        lam, r = np.linalg.eigh(gamma)
-        cond = lam[-1] / lam[0] if lam[0] > 0 else np.inf
-        if not cond <= _COND_LIMIT:
-            raise NearSingularityError(node=t, condition=cond)
-        # deterministic column signs: the largest entry of each eigenvector is positive
-        r = r * np.sign(r[np.argmax(np.abs(r), axis=0), np.arange(len(lam))])
-        entry = {"gamma": gamma, "eta": (r / lam) @ r.T, "r": r, "lam": lam}
-        if self.with_grad:
-            ddc = self._ddcell_full[:, t - 1 :: -1][:, :t]
-            dgamma = np.einsum("laij,akj->lik", ddc, wb)
-            dgamma = dgamma + np.swapaxes(dgamma, -1, -2)
-            deta_r = -(r.T @ dgamma @ r) / np.outer(lam, lam)
-            entry.update({"dgamma": dgamma, "deta_r": deta_r, "deta": r @ deta_r @ r.T})
-        return entry
 
     def mean(self, a, t: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(E[Y_t], dE[Y_t]/dtheta) from Y_0 = a, shapes (m,) and (q, m) (None without

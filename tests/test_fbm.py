@@ -9,10 +9,10 @@ from fracmle.errors import ConfigError, DegenerateSeriesError
 from fracmle.fbm import (
     HurstParam,
     TimeGrid,
-    _fgn_autocovariance,
     estimate_hurst_rs,
     fbm_covariance,
     fgn_adjoint,
+    fgn_autocovariance,
     fgn_from_normals,
     indicator_cells,
     rs_window_sizes,
@@ -78,7 +78,7 @@ class TestSimulation:
         basis = np.eye(2 * m)
         amat = np.array([fgn_from_normals(h, m, dt, e) for e in basis]).T
         got = amat @ amat.T
-        rho = _fgn_autocovariance(h, m, dt)
+        rho = fgn_autocovariance(h, m, dt)
         want = np.array([[rho[abs(i - j)] for j in range(m)] for i in range(m)])
         assert np.abs(got - want).max() < 1e-14
 
@@ -86,7 +86,7 @@ class TestSimulation:
            dt=st.floats(1e-3, 10.0))
     def test_gram_matrix_is_fgn_covariance(self, h, m, dt):
         amat = fgn_from_normals(h, m, dt, np.eye(2 * m)).T  # (M, 2M): the linear map
-        rho = _fgn_autocovariance(h, m, dt)
+        rho = fgn_autocovariance(h, m, dt)
         lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
         assert np.abs(amat @ amat.T - rho[lag]).max() <= 1e-12 * rho[0]
 
@@ -189,7 +189,7 @@ class TestWeightedInner:
     def test_cell_weights_are_increment_covariance(self):
         grid = TimeGrid(1.0, 16)
         w = singular_cell_weights(grid, 0.7)
-        rho = _fgn_autocovariance(0.7, 15, grid.dt)
+        rho = fgn_autocovariance(0.7, 15, grid.dt)
         assert w[3, 3] == pytest.approx(grid.dt**1.4)
         assert w[2, 9] == pytest.approx(rho[7])
 

@@ -1,9 +1,11 @@
 """Derivative arrays, the Malliavin matrix, and the iterated weights."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from fracmle.errors import CapabilityError, NearSingularityError
+from fracmle.errors import CapabilityError, ConfigError, DivergenceError, NearSingularityError
 from fracmle.fbm import FbmPath, TimeGrid, simulate_fbm
 from fracmle.malliavin import (
     AdditiveKernels,
@@ -54,6 +56,22 @@ def sin_model() -> ModelSpec:
         grad_mu=_zero((1, 1)), grad_sigma=_zero((1, 1, 1)),
         grad_dmu=_zero((1, 1, 1)), grad_dsigma=_zero((1, 1, 1, 1)),
         linear_drift=False, additive_noise=True,
+    )
+
+
+def rank_one_model() -> ModelSpec:
+    """sigma = (1, 0)^T, A = [[0, 0], [theta, 0]]: Y_1 is (B_1, 0), a singular law."""
+    return ModelSpec(
+        name="rankone", m=2, d=1, q=1,
+        mu=lambda y, th: np.stack([np.zeros_like(y[..., 0]), th[0] * y[..., 0]], axis=-1),
+        sigma=lambda y, th: np.array([[1.0], [0.0]]),
+        dmu=lambda y, th: np.array([[0.0, 0.0], [th[0], 0.0]]),
+        dsigma=_zero((2, 1, 2)), d2mu=_zero((2, 2, 2)), d2sigma=_zero((2, 1, 2, 2)),
+        grad_mu=lambda y, th: np.stack([np.zeros_like(y[..., 0]), y[..., 0]], axis=-1)[..., None, :],
+        grad_sigma=_zero((1, 2, 1)),
+        grad_dmu=lambda y, th: np.array([[[0.0, 0.0], [1.0, 0.0]]]),
+        grad_dsigma=_zero((1, 2, 1, 2)),
+        linear_drift=True, additive_noise=True, initial_state=(0.0, 0.0),
     )
 
 
@@ -220,6 +238,37 @@ class TestMatrixPath:
     def test_singular_gamma_names_node(self):
         with pytest.raises(NearSingularityError, match="node 7"):
             invert_gamma(np.array([[[1.0, 1.0], [1.0, 1.0]]]), np.array([7]))
+
+
+class TestAdditiveKernelErrors:
+    @pytest.mark.parametrize("node", [0, -3, 12, 20])
+    def test_node_outside_grid_is_config_error(self, node):
+        with pytest.raises(ConfigError, match=f"node {node} "):
+            AdditiveKernels(get_model("fou"), [0.5], TimeGrid(1.0, 10), 0.6, [node])
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_singular_law_names_first_node(self, with_grad):
+        model, grid = rank_one_model(), TimeGrid(1.0, 20)
+        with pytest.raises(NearSingularityError) as err:
+            AdditiveKernels(model, [1.0], grid, 0.7, [1, 5, 20], with_grad=with_grad)
+        assert err.value.node == 1
+        kern = AdditiveKernels(model, [1.0], grid, 0.7, [5, 20], with_grad=with_grad)
+        assert np.linalg.cond(kern.at(5)["gamma"]) < 1e12
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_unstable_euler_factor_is_divergence(self, with_grad):
+        with pytest.raises(DivergenceError):
+            AdditiveKernels(get_model("fou"), [-1000.0], TimeGrid(1.0, 100), 0.6, [100],
+                            with_grad=with_grad)
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_overflowing_powers_raise_without_warning(self, with_grad):
+        # P = 2001: P^500 overflows to inf inside the doubling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                AdditiveKernels(get_model("fou"), [-1e6], TimeGrid(1.0, 500), 0.6, [500],
+                                with_grad=with_grad)
 
 
 class TestWeights:

@@ -11,10 +11,11 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from fracmle.fbm import TimeGrid, fgn_from_normals
+from fracmle.errors import DivergenceError, NearSingularityError
+from fracmle.fbm import TimeGrid, fgn_from_normals, singular_cell_weights
 from fracmle.malliavin import (
     AdditiveKernels, _wick_levels, eigenframe_weight_2m, theta_gradient_batch,
 )
@@ -233,3 +234,65 @@ def test_eigenframe_weight_2m_equals_wick_recursion(m, seed):
     h, dh = eigenframe_weight_2m(g, dg, lam, deta_r)
     _close(h, poly(g), 1e-12, scale=1.0)
     _close(dh, dh_want, 1e-12, scale=1.0)
+
+
+@st.composite
+def law_cases(draw):
+    """(model, theta, grid, h, nodes): any built-in or the affine spec, H in (1/2, 1),
+    M in [2, 200], a random node set; unstable Euler factors as in cases()."""
+    model = draw(st.sampled_from(MODELS))
+    theta = np.array([draw(st.floats(lo, hi)) for lo, hi in model.box_default])
+    grid = TimeGrid(draw(st.sampled_from([1.0, 10.0])), draw(st.integers(2, 200)))
+    a_mat = np.broadcast_to(np.asarray(model.dmu(np.zeros(model.m), theta), float),
+                            (model.m, model.m))
+    mu = np.linalg.eigvals(a_mat)
+    assume(not np.any((mu.real < 0) & (np.abs(1 + mu * grid.dt) > 1)))
+    h = draw(st.floats(0.51, 0.99))
+    nodes = draw(st.lists(st.integers(1, grid.steps), min_size=1, max_size=6, unique=True))
+    return model, theta, grid, h, nodes
+
+
+def _sequential_powers(p, dp, n):
+    """P^0..P^n and their theta-gradients, one step at a time."""
+    pw, dpw = [np.eye(len(p))], [np.zeros_like(dp)]
+    for _ in range(n):
+        dpw.append(dpw[-1] @ p + pw[-1] @ dp)
+        pw.append(pw[-1] @ p)
+    return np.array(pw), np.array(dpw)
+
+
+@given(case=law_cases())
+# the expanding mode of linear2d grows 1e4-fold by t = 10: the convolution's rounding
+# must stay relative to each node's own gamma, not to the last node's
+@example(case=(get_model("linear2d"), np.array([1.57, 1.04]), TimeGrid(10.0, 184), 0.98, [5, 168]))
+def test_law_equals_cell_quadrature(case):
+    # gamma_t = sum_{k,l<t} D_tk W_kl D_tl^T over the cell-exact weights W, with
+    # D_tk = P^(t-1-k) sigma, and dgamma_t the same sum over the theta-gradient
+    # columns on either side; the powers of P against sequential products
+    model, theta, grid, h, nodes = case
+    try:
+        kern = AdditiveKernels(model, theta, grid, h, nodes, with_grad=True)
+    except (DivergenceError, NearSingularityError):
+        assume(False)
+    y0 = np.zeros(model.m)
+    coeff = {name: np.asarray(getattr(model, name)(y0, theta), float)
+             for name in ("dmu", "sigma", "grad_dmu", "grad_sigma")}
+    a_mat = np.broadcast_to(coeff["dmu"], (model.m, model.m))
+    sig = np.broadcast_to(coeff["sigma"], (model.m, model.d))
+    da = np.broadcast_to(coeff["grad_dmu"], (model.q, model.m, model.m))
+    dsig = np.broadcast_to(coeff["grad_sigma"], (model.q, model.m, model.d))
+    nmax = max(nodes)
+    pw, dpw = _sequential_powers(np.eye(model.m) + a_mat * grid.dt, da * grid.dt, nmax)
+    dpw = np.moveaxis(dpw, 1, 0)  # (q, n+1, m, m)
+    for u in range(nmax + 1):
+        _close(kern._ppow[u], pw[u], 1e-12, scale=np.abs(pw[: u + 1]).max())
+        _close(kern._dppow[:, u], dpw[:, u], 1e-12, scale=np.abs(dpw[:, : u + 1]).max())
+    w = singular_cell_weights(grid, h)
+    for t in nodes:
+        cells = pw[t - 1 :: -1][:t] @ sig  # (t, m, d)
+        dcells = dpw[:, t - 1 :: -1][:, :t] @ sig + pw[None, t - 1 :: -1][:, :t] @ dsig[:, None]
+        wb = np.einsum("kl,lij->kij", w[:t, :t], cells)
+        gamma = np.einsum("kij,kpj->ip", cells, wb)
+        c = np.einsum("qkij,kpj->qip", dcells, wb)
+        _close(kern.at(t)["gamma"], gamma, 1e-12)
+        _close(kern.at(t)["dgamma"], c + np.swapaxes(c, 1, 2), 1e-12)
