@@ -12,11 +12,13 @@ The score for one parameter coordinate is sum_i V_i / W_i with
 i.e. V_i is the exact pathwise theta-derivative of the positive-part
 representation, evaluated on the same paths as W_i (common random numbers).
 
-Determinism: paths are generated in fixed-size blocks from seed substreams
-keyed by (observation, block) for the standalone estimators and by (block,)
-for the score; all reductions are fixed-order numpy pairwise sums, so results
-are reproducible bit-for-bit for a given seed regardless of how many workers
-a caller would dispatch blocks to.
+Determinism: draws come in fixed-size blocks from seed substreams keyed by
+(observation, block) for the standalone estimators and by (block,) for the
+score. The score draws d x 2M normals per path for the fGn sampler and the
+Euler solver; the standalone linear-additive estimators draw m normals per
+path, the node state's own Gaussian coordinates. All reductions are
+fixed-order numpy pairwise sums, so results are reproducible bit-for-bit for
+a given seed regardless of how many workers a caller would dispatch blocks to.
 """
 
 from __future__ import annotations
@@ -156,13 +158,10 @@ def _block_seeds(seed: int, key: tuple, n_paths: int):
         b += 1
 
 
-def _draw_normals(rng, n_block: int, d: int, grid: TimeGrid) -> np.ndarray:
-    """The standard normals (n_block, d, 2M) behind one block of driving paths."""
-    return rng.standard_normal((n_block, d, 2 * grid.steps))
-
-
 def _draw_increments(rng, n_block: int, d: int, grid: TimeGrid, h: HurstParam) -> np.ndarray:
-    return fgn_from_normals(h.h, grid.steps, grid.dt, _draw_normals(rng, n_block, d, grid))
+    """fGn increments (n_block, d, M) of one block, from (n_block, d, 2M) standard normals."""
+    z = rng.standard_normal((n_block, d, 2 * grid.steps))
+    return fgn_from_normals(h.h, grid.steps, grid.dt, z)
 
 
 def _phi_bar(z: np.ndarray) -> np.ndarray:
@@ -259,10 +258,10 @@ def estimate_density(
     the tail side of x, an exact rearrangement through E[H] = 0 that keeps
     the estimator variance small at both tails).
 
-    Linear-additive models read the Euler state at the node as one product
-    with the sampler's normals, Y_t = E[Y_t] + z @ L_t (AdditiveKernels.normals_map),
-    with no fGn synthesis and no Euler loop; the normals and their streams are
-    those the Euler route would use, and a state beyond pathwise.DIVERGENCE_LIMIT
+    Linear-additive models draw the Euler state at the node from its exact
+    Gaussian law, Y_t = E[Y_t] + z @ f_t with m standard normals z per path and
+    f_t = diag(sqrt(lam)) r^T from AdditiveKernels (f_t^T f_t = gamma_t), with no
+    fGn synthesis and no Euler loop; a state beyond pathwise.DIVERGENCE_LIMIT
     raises DivergenceError as the Euler solver does. Nonlinear models solve Euler
     per block.
     """
@@ -284,9 +283,9 @@ def estimate_density(
             _, s = _tail_sides(x, mean, np.diag(kernels.at(t_node)["gamma"]))
         depth = 2 if representation == "positive-part" else 1
         poly = kernels.levels(idx_m * depth, t_node)[-1]
-        lmap = kernels.normals_map(t_node)
+        f = kernels.at(t_node)["f"]
         for _, nb, rng in _block_seeds(seed, stream_key, budget.mc_paths):
-            y_c = _draw_normals(rng, nb, model.d, grid).reshape(nb, -1) @ lmap
+            y_c = rng.standard_normal((nb, model.m)) @ f
             y_t = mean + y_c
             check_finite(y_t, t_node, "estimate_density")
             h = poly(kernels.read_off(y_c, t_node)[0])
@@ -348,7 +347,14 @@ def estimate_V(
     h,
     a=None,
 ) -> tuple[float, float]:
-    """V_i for parameter coordinate l, on the same path stream as W_i."""
+    """V_i for parameter coordinate l, on the same stream and draws as W_i.
+
+    The node state is drawn as in estimate_density, y_c = z @ f_t, and its theta-gradient
+    is its conditional expectation given the state, E[dY_t - dE[Y_t] | Y_t] = C_t eta_t y_c
+    with C_t = Cov(dY_t, Y_t) (conditional Monte Carlo: V reads a path only through Y_t).
+    For m = 1 that is the pathwise derivative of mean + f_t z, so V is the common-random-
+    number derivative of the positive-part density estimate.
+    """
     theta = model.check_theta(theta)
     if not model.linear_additive:
         raise CapabilityError("V estimation needs depth-2m weight gradients (linear-additive class)")
@@ -365,14 +371,16 @@ def estimate_V(
     kernels = AdditiveKernels(model, theta, sub, hp, [t_node], with_grad=True)
     mean, dmean = kernels.mean(a, t_node)
     poly = kernels.levels(idx2m, t_node)[-1]
+    e = kernels.at(t_node)
     total = total_sq = 0.0
     for _, nb, rng in _block_seeds(seed, (i,), budget.mc_paths):
-        incr = _draw_increments(rng, nb, model.d, sub, hp)
-        paths = euler_solve_batch(model, theta, incr, a, sub.dt)
-        y_t = paths[:, t_node, :]
-        dy_t = theta_gradient_batch(model, theta, incr, paths, sub.dt)[:, t_node, :, :]
-        g, dg = kernels.read_off(y_t - mean, t_node, dy_t - dmean)
-        vals = _v_term(y_t, x, dy_t, poly(g), kernels.grad_weight(idx2m, g, dg, t_node), 1.0)[:, l]
+        y_c = rng.standard_normal((nb, model.m)) @ e["f"]
+        y_t = mean + y_c
+        check_finite(y_t, t_node, "estimate_V")
+        dy_c = np.einsum("nk,lik->nli", y_c @ e["eta"].T, e["c"])
+        g, dg = kernels.read_off(y_c, t_node, dy_c)
+        h_2m, dh_2m = poly(g), kernels.grad_weight(idx2m, g, dg, t_node)
+        vals = _v_term(y_t, x, dmean + dy_c, h_2m, dh_2m, 1.0)[:, l]
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
     return _mean_se(total, total_sq, budget.mc_paths)

@@ -37,9 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, DivergenceError, NearSingularityError
-from .fbm import (
-    FbmPath, HurstParam, TimeGrid, fgn_adjoint, fgn_autocovariance, singular_cell_weights,
-)
+from .fbm import FbmPath, HurstParam, TimeGrid, fgn_autocovariance, singular_cell_weights
 from .models import ModelSpec
 from .pathwise import SolutionPath
 
@@ -409,10 +407,11 @@ class AdditiveKernels:
     with the fGn autocovariance, then a cumulative sum), and one batched eigh
     gives gamma = r diag(lam) r^T per node, which is the weights' own frame: there
     eta = diag(1/lam) and, with gradients, deta_r = -(r^T dgamma r) / (lam_j lam_k).
-    at(t) holds r, lam, deta_r and the base-frame views gamma, eta = r diag(1/lam) r^T,
-    dgamma and deta = r deta_r r^T; the weights read G = eta (Y - E[Y]) and its
-    theta-gradient off the centered state. normals_map(t) gives that state as one
-    product with the normals that drive the Davies-Harte sampler.
+    at(t) holds r, lam, the factor f = diag(sqrt(lam)) r^T (f^T f = gamma, so z @ f
+    with standard normals z (..., m) has the law of Y_t - E[Y_t]) and the base-frame
+    views gamma and eta = r diag(1/lam) r^T; with gradients also deta_r, c with
+    c[l, i, k] = Cov(dY^i_t/dtheta_l, Y^k_t), dgamma = c + c^T and deta = r deta_r r^T.
+    The weights read G = eta (Y - E[Y]) and its theta-gradient off the centered state.
     """
 
     def __init__(
@@ -432,7 +431,10 @@ class AdditiveKernels:
         self.theta = model.check_theta(theta)
         self.grid = grid
         self.h = HurstParam.coerce(h)
-        self.nodes = sorted(int(t) for t in np.atleast_1d(nodes))
+        raw = np.asarray(nodes, dtype=float).ravel()
+        if raw.size == 0 or not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
+            raise ConfigError(f"nodes must be one or more integers, got {nodes!r}")
+        self.nodes = sorted(int(t) for t in raw)
         bad = [t for t in self.nodes if not 1 <= t <= grid.steps]
         if bad:
             raise ConfigError(f"node {bad[0]} outside 1..{grid.steps}")
@@ -484,32 +486,20 @@ class AdditiveKernels:
         # deterministic column signs: the largest entry of each eigenvector is positive
         rot = rot * np.sign(np.take_along_axis(rot, np.abs(rot).argmax(1)[:, None], axis=1))
         rot_t = rot.swapaxes(1, 2)
-        stack = {"gamma": gamma, "eta": (rot / lam[:, None]) @ rot_t, "r": rot, "lam": lam}
+        stack = {"gamma": gamma, "eta": (rot / lam[:, None]) @ rot_t, "r": rot, "lam": lam,
+                 "f": np.sqrt(lam)[:, :, None] * rot_t}
         if with_grad:
             dgamma = c + c.swapaxes(2, 3)
             lam2 = lam[:, None, :, None] * lam[:, None, None]
             deta_r = -(rot_t[:, None] @ dgamma @ rot[:, None]) / lam2
-            stack.update(dgamma=dgamma, deta_r=deta_r, deta=rot[:, None] @ deta_r @ rot_t[:, None])
+            stack.update(c=c, dgamma=dgamma, deta_r=deta_r,
+                         deta=rot[:, None] @ deta_r @ rot_t[:, None])
         self._per_node = {t: {k: v[i] for k, v in stack.items()} for i, t in enumerate(self.nodes)}
         self._poly_cache: dict = {}
 
     def _cells(self, t: int) -> np.ndarray:
         """Kernel columns D_tk = P^(t-1-k) sigma over cells k < t, shape (t, m, d)."""
         return self._dcell_full[t - 1 :: -1][:t]
-
-    def normals_map(self, t: int) -> np.ndarray:
-        """L_t of shape (d*2M, m) with Y_t - E[Y_t] = z.reshape(N, -1) @ L_t.
-
-        z (N, d, 2M) are the normals that fgn_from_normals maps to the driving
-        increments; L_t is the adjoint Davies-Harte map applied to the kernel
-        columns D_tk, zero for cells k >= t.
-        """
-        self.at(t)  # requested nodes only, as everywhere else
-        m, d, steps = self.model.m, self.model.d, self.grid.steps
-        cols = np.zeros((d, m, steps))
-        cols[:, :, :t] = self._cells(t).T
-        adj = fgn_adjoint(self.h.h, steps, self.grid.dt, cols)  # (d, m, 2M)
-        return adj.transpose(0, 2, 1).reshape(d * 2 * steps, m)
 
     def mean(self, a, t: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(E[Y_t], dE[Y_t]/dtheta) from Y_0 = a, shapes (m,) and (q, m) (None without

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracmle.errors import CapabilityError, ConfigError, DivergenceError, UnreliableScoreError
-from fracmle.fbm import TimeGrid, fgn_from_normals, simulate_fbm
+from fracmle.fbm import TimeGrid, simulate_fbm
 from fracmle.likelihood import (
     Budget,
     Observations,
@@ -19,7 +19,7 @@ from fracmle.likelihood import (
 from fracmle.likelihood import _tail_sides, _v_term, _w_factors
 from fracmle.malliavin import AdditiveKernels
 from fracmle.models import ModelSpec, get_model, ou_oracle
-from fracmle.pathwise import euler_solve, euler_solve_batch
+from fracmle.pathwise import euler_solve
 
 
 def _zero(shape):
@@ -129,25 +129,22 @@ class TestDensity:
         ("linear2d", [2.0, 4.0], [0.0, 0.0], [0.1, -0.2]),
         ("findrift", [0.015, 0.352], [100.0], [101.6]),
     ])
-    def test_same_normals_as_the_euler_route(self, name, theta, a, x):
-        # One block rebuilt by hand: the block's normals through the sampler and
-        # the Euler solver, then the weight read off the centered state. The
-        # state is centered by Euler's own noise-free path (the leading zero
-        # increments): centering by the kernel mean would leave the reference's
-        # rounding of findrift's size-100 state in G, about 2e-12 here.
+    def test_block_rebuilt_from_the_node_law(self, name, theta, a, x):
+        # One block rebuilt by hand: the block's m normals per path through the
+        # factor diag(sqrt(lam)) r^T of gamma_t, then the weight read off the
+        # centered state.
         model, steps, n_paths, seed, h = get_model(name), 48, 3000, 21, 0.65
         grid = TimeGrid(1.0, steps)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
-        incr = fgn_from_normals(h, steps, grid.dt, rng.standard_normal((n_paths, model.d, 2 * steps)))
-        incr = np.concatenate([np.zeros_like(incr[:1]), incr])
-        y_all = euler_solve_batch(model, np.array(theta), incr, np.array(a), grid.dt)[:, steps]
-        y_t = y_all[1:]
         kernels = AdditiveKernels(model, theta, grid, h, [steps])
+        e = kernels.at(steps)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
+        y_c = rng.standard_normal((n_paths, model.m)) @ (np.sqrt(e["lam"])[:, None] * e["r"].T)
         mean, _ = kernels.mean(a, steps)
-        g = kernels.read_off(y_t - y_all[0], steps)[0]
+        y_t = mean + y_c
+        g = y_c @ np.linalg.inv(e["gamma"])
         idx = tuple(range(1, model.m + 1))
         h_m, h_2m = kernels.levels(idx, steps)[-1](g), kernels.levels(idx * 2, steps)[-1](g)
-        _, s = _tail_sides(np.array(x), mean, np.diag(kernels.at(steps)["gamma"]))
+        _, s = _tail_sides(np.array(x), mean, np.diag(e["gamma"]))
         want = {
             "indicator": np.prod(y_t > x, axis=1) * h_m,
             "positive-part": np.prod(np.maximum(y_t - x, 0.0), axis=1) * h_2m,
@@ -157,6 +154,32 @@ class TestDensity:
             got, _ = estimate_density(model, theta, 1.0, x, Budget(steps, n_paths, 0.55), seed,
                                       h, a=a, representation=rep)
             assert abs(got - vals.mean()) <= 1e-12 * abs(vals.mean()), rep
+
+    def test_v_block_rebuilt_from_the_node_law(self):
+        # estimate_V's block by hand on linear2d, where C_t = Cov(dY_t, Y_t) is 28%
+        # asymmetric: the state from the node law, its gradient the conditional
+        # expectation C_t eta_t y_c with C_t from the brute-force cell quadrature
+        from tests.test_readoff import cell_quadrature_law
+
+        model, theta, a, x = get_model("linear2d"), np.array([2.0, 4.0]), np.zeros(2), [0.1, -0.2]
+        steps, n_paths, seed, h = 48, 3000, 22, 0.65
+        grid = TimeGrid(1.0, steps)
+        obs = Observations(grid=grid, times=[1.0], values=[x])
+        kernels = AdditiveKernels(model, theta, grid, h, [steps], with_grad=True)
+        e = kernels.at(steps)
+        _, _, law = cell_quadrature_law(model, theta, grid, h, [steps])
+        gamma, c = law[steps]
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
+        y_c = rng.standard_normal((n_paths, 2)) @ (np.sqrt(e["lam"])[:, None] * e["r"].T)
+        dy_c = np.stack([y_c @ (c[l] @ np.linalg.inv(gamma)).T for l in range(2)], axis=1)
+        mean, dmean = kernels.mean(a, steps)
+        g, dg = kernels.read_off(y_c, steps, dy_c)
+        idx = (1, 2, 1, 2)
+        vals = _v_term(mean + y_c, np.array(x), dmean + dy_c, kernels.levels(idx, steps)[-1](g),
+                       kernels.grad_weight(idx, g, dg, steps), 1.0)
+        for l in range(2):
+            got, _ = estimate_V(model, theta, l, obs, 0, Budget(steps, n_paths, 0.55), seed, h)
+            assert abs(got - vals[:, l].mean()) <= 1e-12 * abs(vals[:, l].mean()), l
 
     def test_divergent_state_raises(self):
         # I + A dt = 1.625 per step: the state passes the divergence limit by t = 1

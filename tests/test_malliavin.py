@@ -246,6 +246,19 @@ class TestAdditiveKernelErrors:
         with pytest.raises(ConfigError, match=f"node {node} "):
             AdditiveKernels(get_model("fou"), [0.5], TimeGrid(1.0, 10), 0.6, [node])
 
+    @pytest.mark.parametrize("nodes", [[2.7], [], [3, np.nan], [np.inf]],
+                             ids=["fraction", "empty", "nan", "inf"])
+    def test_malformed_node_list_is_config_error(self, nodes):
+        # int() would truncate 2.7 to node 2, and an empty list has no last node
+        with pytest.raises(ConfigError, match=r"nodes must be one or more integers, got \["):
+            AdditiveKernels(get_model("fou"), [0.5], TimeGrid(1.0, 10), 0.6, nodes)
+
+    def test_integral_nodes_of_any_number_type(self):
+        kern = AdditiveKernels(get_model("fou"), [0.5], TimeGrid(1.0, 10), 0.6,
+                               [np.int64(7), 3.0, np.float32(5)])
+        assert kern.nodes == [3, 5, 7]
+        assert all(type(t) is int for t in kern.nodes)
+
     @pytest.mark.parametrize("with_grad", [False, True])
     def test_singular_law_names_first_node(self, with_grad):
         model, grid = rank_one_model(), TimeGrid(1.0, 20)

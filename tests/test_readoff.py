@@ -261,19 +261,11 @@ def _sequential_powers(p, dp, n):
     return np.array(pw), np.array(dpw)
 
 
-@given(case=law_cases())
-# the expanding mode of linear2d grows 1e4-fold by t = 10: the convolution's rounding
-# must stay relative to each node's own gamma, not to the last node's
-@example(case=(get_model("linear2d"), np.array([1.57, 1.04]), TimeGrid(10.0, 184), 0.98, [5, 168]))
-def test_law_equals_cell_quadrature(case):
-    # gamma_t = sum_{k,l<t} D_tk W_kl D_tl^T over the cell-exact weights W, with
-    # D_tk = P^(t-1-k) sigma, and dgamma_t the same sum over the theta-gradient
-    # columns on either side; the powers of P against sequential products
-    model, theta, grid, h, nodes = case
-    try:
-        kern = AdditiveKernels(model, theta, grid, h, nodes, with_grad=True)
-    except (DivergenceError, NearSingularityError):
-        assume(False)
+def cell_quadrature_law(model, theta, grid, h, nodes):
+    """(P^u, dP^u, {t: (gamma_t, C_t)}) by brute force: sequential powers of P and
+    gamma_t = sum_{k,l<t} D_tk W_kl D_tl^T over the cell-exact weights W, with
+    D_tk = P^(t-1-k) sigma; C_t[l, i, k] = Cov(dY^i_t/dtheta_l, Y^k_t) is the same
+    sum with the theta-gradient columns on the left."""
     y0 = np.zeros(model.m)
     coeff = {name: np.asarray(getattr(model, name)(y0, theta), float)
              for name in ("dmu", "sigma", "grad_dmu", "grad_sigma")}
@@ -284,15 +276,51 @@ def test_law_equals_cell_quadrature(case):
     nmax = max(nodes)
     pw, dpw = _sequential_powers(np.eye(model.m) + a_mat * grid.dt, da * grid.dt, nmax)
     dpw = np.moveaxis(dpw, 1, 0)  # (q, n+1, m, m)
-    for u in range(nmax + 1):
-        _close(kern._ppow[u], pw[u], 1e-12, scale=np.abs(pw[: u + 1]).max())
-        _close(kern._dppow[:, u], dpw[:, u], 1e-12, scale=np.abs(dpw[:, : u + 1]).max())
     w = singular_cell_weights(grid, h)
+    law = {}
     for t in nodes:
         cells = pw[t - 1 :: -1][:t] @ sig  # (t, m, d)
         dcells = dpw[:, t - 1 :: -1][:, :t] @ sig + pw[None, t - 1 :: -1][:, :t] @ dsig[:, None]
         wb = np.einsum("kl,lij->kij", w[:t, :t], cells)
-        gamma = np.einsum("kij,kpj->ip", cells, wb)
-        c = np.einsum("qkij,kpj->qip", dcells, wb)
+        law[t] = np.einsum("kij,kpj->ip", cells, wb), np.einsum("qkij,kpj->qip", dcells, wb)
+    return pw, dpw, law
+
+
+@given(case=law_cases())
+# the expanding mode of linear2d grows 1e4-fold by t = 10: the convolution's rounding
+# must stay relative to each node's own gamma, not to the last node's
+@example(case=(get_model("linear2d"), np.array([1.57, 1.04]), TimeGrid(10.0, 184), 0.98, [5, 168]))
+def test_law_equals_cell_quadrature(case):
+    # gamma_t, dgamma_t = C_t + C_t^T and C_t itself (its orientation: C_t is not
+    # symmetric) against the brute-force quadrature; the powers of P against
+    # sequential products
+    model, theta, grid, h, nodes = case
+    try:
+        kern = AdditiveKernels(model, theta, grid, h, nodes, with_grad=True)
+    except (DivergenceError, NearSingularityError):
+        assume(False)
+    pw, dpw, law = cell_quadrature_law(model, theta, grid, h, nodes)
+    for u in range(max(nodes) + 1):
+        _close(kern._ppow[u], pw[u], 1e-12, scale=np.abs(pw[: u + 1]).max())
+        _close(kern._dppow[:, u], dpw[:, u], 1e-12, scale=np.abs(dpw[:, : u + 1]).max())
+    for t in nodes:
+        gamma, c = law[t]
         _close(kern.at(t)["gamma"], gamma, 1e-12)
+        _close(kern.at(t)["c"], c, 1e-12)
         _close(kern.at(t)["dgamma"], c + np.swapaxes(c, 1, 2), 1e-12)
+
+
+@given(case=law_cases())
+# linear2d at the score benchmark's setting: the eigen-SDs at node 500 differ 293-fold,
+# and the largest is 3200 times that of node 1
+@example(case=(get_model("linear2d"), np.array([2.0, 4.0]), TimeGrid(2.0, 500), 0.6, [1, 500]))
+def test_factor_reproduces_gamma(case):
+    # f = diag(sqrt(lam)) r^T: z @ f with standard normals z has covariance f^T f
+    model, theta, grid, h, nodes = case
+    try:
+        kern = AdditiveKernels(model, theta, grid, h, nodes)
+    except (DivergenceError, NearSingularityError):
+        assume(False)
+    for t in nodes:
+        f = kern.at(t)["f"]
+        _close(f.T @ f, kern.at(t)["gamma"], 1e-12)
